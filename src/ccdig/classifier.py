@@ -10,7 +10,9 @@ over classes.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +32,18 @@ SCORE_CLAMP = 1e-3
 LARGE_GAP = 1e300
 
 MODEL_FORMAT_VERSION = 1
+
+# the one hyperparameter each variant needs
+HYPER_KEY = {VARIANT_PURE: "tau", VARIANT_RW: "e"}
+
+
+def _check_hyper(variant: str, value: float) -> float:
+    """tau in (0,1] for the pure variant, e in [0,1] for the random walk."""
+    if variant == VARIANT_PURE and not 0.0 < value <= 1.0:
+        raise ValueError("tau must be in (0,1]")
+    if variant == VARIANT_RW and not 0.0 <= value <= 1.0:
+        raise ValueError("e must be in [0,1]")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,20 +119,13 @@ def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: fl
     """Fit one cover per class, each against the union of the others."""
     if data.n_classes < 2:
         raise ValueError("training requires at least two classes")
-    if variant == VARIANT_PURE:
-        if tau is None:
-            raise ValueError("the pure variant requires tau")
-        if not 0.0 < float(tau) <= 1.0:
-            raise ValueError("tau must be in (0,1]")
-        hyper = {"tau": float(tau)}
-    elif variant == VARIANT_RW:
-        if e is None:
-            raise ValueError("the random-walk variant requires e")
-        if not 0.0 <= float(e) <= 1.0:
-            raise ValueError("e must be in [0,1]")
-        hyper = {"e": float(e)}
-    else:
+    if variant not in HYPER_KEY:
         raise ValueError(f"unknown variant {variant!r}")
+    key = HYPER_KEY[variant]
+    value = tau if variant == VARIANT_PURE else e
+    if value is None:
+        raise ValueError(f"the {variant} variant requires {key}")
+    hyper = {key: _check_hyper(variant, float(value))}
     covers = []
     for c in range(data.n_classes):
         targets = data.points[data.labels == c]
@@ -251,10 +258,77 @@ def model_to_dict(model: CccdModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> CccdModel:
+def _is_number(v) -> bool:
+    """A finite JSON number that converts to float64 (bools excluded)."""
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max  # exact; no overflow on huge ints
+    return type(v) is float and math.isfinite(v)
+
+
+def _is_count(v, low: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _check_model_doc(doc) -> None:
+    """Check a whole model document against the schema model_to_dict
+    writes; the first problem found raises ValueError."""
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"invalid model: {what}")
+
+    need(isinstance(doc, dict), "the document must be a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
+    missing = [k for k in ("variant", "dim", "hyper", "label_map", "covers") if k not in doc]
+    need(not missing, f"missing key(s) {', '.join(missing)}")
+    variant = doc["variant"]
+    need(isinstance(variant, str) and variant in HYPER_KEY, f"unknown variant {variant!r}")
+    dim = doc["dim"]
+    need(_is_count(dim, 1), "dim must be a positive integer")
+    hyper = doc["hyper"]
+    key = HYPER_KEY[variant]
+    need(isinstance(hyper, dict) and key in hyper, f"hyper must hold {key!r} for the {variant} variant")
+    need(_is_number(hyper[key]), f"hyper {key} must be a finite number")
+    _check_hyper(variant, hyper[key])
+    covers, labels = doc["covers"], doc["label_map"]
+    need(isinstance(covers, list) and len(covers) >= 2, "covers must list at least two classes")
+    need(
+        isinstance(labels, list) and len(labels) == len(covers) and all(isinstance(v, str) for v in labels),
+        "label_map must name each class with a string",
+    )
+    for c, cd in enumerate(covers):
+        at = f"covers[{c}]"
+        need(isinstance(cd, dict), f"{at} must be an object")
+        missing = [k for k in ("class_id", "is_pure", "is_proper", "n_train", "balls") if k not in cd]
+        need(not missing, f"{at} is missing key(s) {', '.join(missing)}")
+        need(_is_count(cd["class_id"], 0) and cd["class_id"] == c, f"{at}.class_id must be {c}")
+        need(isinstance(cd["is_pure"], bool) and isinstance(cd["is_proper"], bool), f"{at} flags must be booleans")
+        n_train = cd["n_train"]
+        need(_is_count(n_train, 1), f"{at}.n_train must be a positive integer")
+        balls = cd["balls"]
+        need(isinstance(balls, list) and len(balls) > 0, f"{at}.balls must be a non-empty list")
+        for b, bd in enumerate(balls):
+            at = f"covers[{c}].balls[{b}]"
+            need(isinstance(bd, dict), f"{at} must be an object")
+            center = bd.get("center")
+            need(
+                isinstance(center, list) and len(center) == dim and all(_is_number(v) for v in center),
+                f"{at}.center must be {dim} finite numbers",
+            )
+            index = bd.get("center_index")
+            need(_is_count(index, 0) and index < n_train, f"{at}.center_index must be in [0, n_train)")
+            radius = bd.get("radius")
+            need(_is_number(radius) and radius >= 0, f"{at}.radius must be a finite number >= 0")
+            if variant == VARIANT_RW or "score" in bd:
+                need(_is_number(bd.get("score")), f"{at}.score must be a finite number")
+
+
+def model_from_dict(doc: dict) -> CccdModel:
+    """Model from a document in the model_to_dict schema; any departure
+    from the schema raises ValueError."""
+    _check_model_doc(doc)
     variant = doc["variant"]
     kind = "open" if variant == VARIANT_PURE else "closed"
     covers = []

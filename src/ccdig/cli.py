@@ -216,7 +216,8 @@ def cmd_pilot(args) -> int:
     elif family == "rwcccd":
         grid = [_check_e(v) for v in grid]
     else:
-        grid = [float(int(v)) for v in grid]
+        if not all(v.is_integer() and v >= 1 for v in grid):
+            raise UsageError("every k in the grid must be a positive integer")
     kwargs = dict(
         setting=args.setting,
         d=args.d,
@@ -279,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--e", type=float, default=1.0)
     p_sim.add_argument("--k", type=int, default=5)
     p_sim.add_argument("--test-per-class", type=int, default=100)
-    p_sim.add_argument("--se-target", type=float, default=0.0005)
+    p_sim.add_argument(
+        "--se-target", type=float, default=0.0005, help="stop once every mean-AUC SE is at most this; 0 runs to --max-reps"
+    )
     p_sim.add_argument("--max-reps", type=int, default=200)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)

@@ -371,7 +371,9 @@ def run_simulation(
     config: SimulationConfig, classifiers, threads: int = 1, score_mode: str = "label"
 ) -> EvalReport:
     """Replicate train/test sampling until every classifier's mean-AUC
-    standard error reaches the target or the replication cap.
+    standard error reaches the target or the replication cap. A target
+    of 0 always runs to the cap: replication AUCs that tie exactly give
+    an SE of 0, which would otherwise meet it after two replications.
 
     Deterministic for a given base seed; replication r always uses seed
     base_seed + r, so the report does not depend on the thread count.
@@ -389,7 +391,7 @@ def run_simulation(
             per_clf_aucs[j].append(aucs[j])
             per_clf_protos[j].append(protos[j])
         reps = len(per_clf_aucs[0])
-        if reps >= 2 and all(_se(a) <= config.se_target for a in per_clf_aucs):
+        if config.se_target > 0 and reps >= 2 and all(_se(a) <= config.se_target for a in per_clf_aucs):
             return True
         return reps >= config.max_test_reps
 

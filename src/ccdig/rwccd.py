@@ -14,6 +14,26 @@ The cover grows greedily: pick the highest-scoring center, drop every
 point its closed ball covers, recompute, repeat until no target remains.
 Covers may be impure (non-targets swallowed) and improper (zero-radius
 balls cover nothing, not even their own center).
+
+`rw_cover` sorts each row of the (n, n + m) target-to-all distance
+matrix once per fit (stable argsort, int32 permutation) and keeps, in
+sorted order, a target-column mask and a mask of the last entry of each
+run of equal radii. Between iterations only liveness changes: each
+iteration gathers the alive-column indicator of the alive rows in sorted
+order, and cumulative sums of it give every candidate radius its
+alive-target and alive-non-target counts. Only run ends are candidates;
+a run of covered points alone repeats the walk value of the run before
+it, so the first maximum is the smallest alive radius, exactly as if the
+alive submatrix had been sorted afresh. Once fewer than half the kept
+columns are alive, the permutation and the sorted distances shrink to
+the alive rows and columns, so iterations get cheaper as the cover grows.
+
+Memory: the distance matrix, its sorted copy, the permutation and the
+two masks hold 22 bytes per n * (n + m) cell for the whole fit, and one
+iteration adds up to about 20 more, so a cover peaks near 42 bytes per
+cell: about 44 MiB at n=1000, m=100 (1.1 M cells). Building the distance
+matrix needs its own work buffer of at most 61 MiB (two 4 M float64
+chunks), freed before the loop starts.
 """
 
 from __future__ import annotations
@@ -115,13 +135,38 @@ def rw_select(x, H0, H1, n_uncovered: int, d_max: float, weight: float | None = 
     return RwBallSelection(radius=radius, walk_value=walk, score=rw_score(walk, radius, n_uncovered, d_max))
 
 
+def _sorted_masks(perm: np.ndarray, sorted_d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Target-column mask and last-of-a-run-of-equal-radii mask, in sorted order."""
+    last = np.ones(sorted_d.shape, dtype=bool)
+    np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=last[:, :-1])
+    return perm < n, last
+
+
+def _first_max_walk(live, is_target, last, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the sorted position of the walk's first maximum over run
+    ends, and that walk value; all three masks are in sorted order, and
+    `live` is overwritten."""
+    count_n = np.cumsum(live, axis=1, dtype=np.int32)
+    live &= is_target
+    count_t = np.cumsum(live, axis=1, dtype=np.int32)
+    count_n -= count_t
+    walk = count_t * weight
+    walk -= count_n
+    # only the last entry of a run of equal radii carries the full count;
+    # a run of dead entries repeats the walk value of the run before it,
+    # so the first max is still the smallest live radius
+    np.copyto(walk, -np.inf, where=~last)
+    best = np.argmax(walk, axis=1)
+    return best, walk[np.arange(len(walk)), best]
+
+
 def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False) -> ClassCover:
     """Greedy random-walk ball cover of the target class.
 
     Each iteration recomputes every remaining center's best radius over
-    the still-uncovered points, selects the highest score (lowest
-    original index on ties), and removes everything the chosen closed
-    ball covers. d_max is taken over all original targets, once. With
+    the still-uncovered points (from rows sorted once, see the module
+    notes), selects the highest score (lowest original index on ties),
+    and removes everything the chosen closed ball covers. d_max is taken over all original targets, once. With
     `fixed_weight` the reweighting factor stays at the original
     class-size ratio instead of tracking the uncovered sets.
     """
@@ -138,35 +183,36 @@ def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False)
     m = len(Y)
     allpts = np.vstack([X, Y]) if m else X
     dist = cross_distance_matrix(X, allpts)  # (n, n + m)
-    is_target_col = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
     d_max = dist[:, :n].max(axis=1)
-    h0 = np.ones(n, dtype=bool)
-    h1 = np.ones(m, dtype=bool)
+    # sort each row once; between iterations only liveness changes
+    perm = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
+    sorted_d = np.take_along_axis(dist, perm, axis=1)
+    target_sorted, last = _sorted_masks(perm, sorted_d, n)
+    row_ids = np.arange(n)  # original target index of each kept row
+    alive = np.ones(n + m, dtype=bool)  # by original column
     balls: list[CoverBall] = []
-    while h0.any():
-        idx0 = np.flatnonzero(h0)
-        cols = np.concatenate([idx0, n + np.flatnonzero(h1)])
-        n_alive = len(idx0)
-        m_alive = int(h1.sum())
+    while True:
+        rows = np.flatnonzero(alive[row_ids])
+        n_alive = len(rows)
+        if n_alive == 0:
+            break
+        m_alive = int(np.count_nonzero(alive[n:]))
+        if 2 * (n_alive + m_alive) < perm.shape[1]:
+            # drop dead rows and columns; each row keeps its sorted order
+            perm, sorted_d = perm[rows], sorted_d[rows]
+            keep = alive[perm]
+            perm = perm[keep].reshape(n_alive, -1)
+            sorted_d = sorted_d[keep].reshape(n_alive, -1)
+            target_sorted, last = _sorted_masks(perm, sorted_d, n)
+            row_ids = row_ids[rows]
+            rows = np.arange(n_alive)
         if fixed_weight:
             weight = m / n if m > 0 else 1.0
         else:
             weight = m_alive / n_alive if m_alive > 0 else 1.0
-        sub = dist[np.ix_(idx0, cols)]
-        order = np.argsort(sub, axis=1, kind="stable")
-        sorted_d = np.take_along_axis(sub, order, axis=1)
-        target_sorted = is_target_col[cols][order]
-        count_t = np.cumsum(target_sorted, axis=1)
-        count_n = np.cumsum(~target_sorted, axis=1)
-        walk = weight * count_t - count_n
-        # only the last entry of a run of equal radii carries the full count
-        last = np.ones_like(target_sorted)
-        last[:, :-1] = sorted_d[:, 1:] != sorted_d[:, :-1]
-        candidates = np.where(last, walk, -np.inf)
-        best = np.argmax(candidates, axis=1)  # first max = smallest radius
-        rows = np.arange(n_alive)
+        best, walks = _first_max_walk(alive[perm[rows]], target_sorted[rows], last[rows], weight)
         radii = sorted_d[rows, best]
-        walks = walk[rows, best]
+        idx0 = row_ids[rows]
         dmax0 = d_max[idx0]
         # same evaluation order as rw_score, bitwise
         ratio = radii / np.where(dmax0 > 0, dmax0, 1.0)
@@ -184,8 +230,9 @@ def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False)
                 score=float(scores[k]),
             )
         )
-        h0 &= ~(dist[center, :n] <= r_star)
-        h1 &= ~(dist[center, n:] <= r_star)
+        # the closed ball is a prefix of the center's sorted row
+        n_covered = np.searchsorted(sorted_d[rows[k]], r_star, side="right")
+        alive[perm[rows[k], :n_covered]] = False
     sel = np.array([b.center_index for b in balls], dtype=np.int64)
     r_sel = np.array([b.radius for b in balls], dtype=np.float64)
     is_pure = m == 0 or not np.any(dist[sel][:, n:] <= r_sel[:, None])

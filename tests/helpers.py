@@ -63,9 +63,13 @@ def brute_force_walk(x, H0, H1, weight=None):
     return candidates, walks
 
 
-def naive_rw_trace(targets, nontargets, fixed_weight=False):
+def naive_rw_trace(targets, nontargets, fixed_weight=False, with_alive=False):
     """Reference random-walk cover built ball by ball from the public
-    single-center ops; returns [(center_index, radius, score), ...]."""
+    single-center ops; returns [(center_index, radius, score), ...].
+
+    With `with_alive` it also returns, per selection, the (targets,
+    non-targets) index lists still uncovered when that ball was chosen.
+    """
     X = np.asarray(targets, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
@@ -77,7 +81,9 @@ def naive_rw_trace(targets, nontargets, fixed_weight=False):
     alive_t = list(range(n))
     alive_n = list(range(m))
     trace = []
+    alive = []
     while alive_t:
+        alive.append((alive_t, alive_n))
         H0 = [X[i] for i in alive_t]
         H1 = [Y[j] for j in alive_n]
         if fixed_weight:
@@ -94,7 +100,7 @@ def naive_rw_trace(targets, nontargets, fixed_weight=False):
         trace.append((best_i, best.radius, best.score))
         alive_t = [i for i in alive_t if distance(X[best_i], X[i]) > best.radius]
         alive_n = [j for j in alive_n if distance(X[best_i], Y[j]) > best.radius]
-    return trace
+    return (trace, alive) if with_alive else trace
 
 
 def brute_force_auc(scores, labels) -> float:

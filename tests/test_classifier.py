@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdig.classifier import (
     LARGE_GAP,
@@ -351,6 +353,46 @@ def test_model_from_json_rejects_unknown_version():
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="version"):
         model_from_json(json.dumps(doc))
+
+
+_VALID_DOCS = {
+    variant: json.loads(model_to_json(train(separable_dataset(seed=11, n=6, m=5), variant, **kw)))
+    for variant, kw in (("pure", {"tau": 0.5}), ("random_walk", {"e": 0.5}))
+}
+_JUNK = (None, "x", -1, 0, 2, 1.5, -0.5, 10**400, float("nan"), float("inf"), True, [], {}, [1.0], {"e": 0.5})
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(_VALID_DOCS)),
+    pick=st.integers(0, 10**6),
+    action=st.one_of(st.just("delete"), st.sampled_from(_JUNK)),
+)
+def test_mutated_model_json_raises_only_value_error(variant, pick, action):
+    doc = json.loads(json.dumps(_VALID_DOCS[variant]))
+    paths = list(_paths(doc))[1:]
+    *parents, key = paths[pick % len(paths)]
+    node = doc
+    for p in parents:
+        node = node[p]
+    if action == "delete":
+        del node[key]
+    else:
+        node[key] = action
+    try:
+        model = model_from_json(json.dumps(doc))
+    except ValueError:
+        return
+    # whatever loads must also predict
+    labels, minima = predict_batch(model, np.zeros((3, model.dim)))
+    assert labels.shape == (3,) and minima.shape == (3, model.n_classes)
 
 
 def test_with_hyper_swaps_exponent():

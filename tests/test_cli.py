@@ -98,6 +98,36 @@ def test_predict_dimension_mismatch(toy_csv, tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def _trained_model_doc(toy_csv, tmp_path, variant):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(toy_csv), "--variant", variant, "--out", str(model)]) == 0
+    return model, json.loads(model.read_text())
+
+
+@pytest.mark.parametrize(
+    "variant, break_doc",
+    [
+        ("pure", lambda doc: doc.pop("variant")),
+        ("random_walk", lambda doc: doc.update(hyper={})),
+        ("random_walk", lambda doc: doc["covers"][0]["balls"][0].pop("score")),
+        ("pure", lambda doc: doc["covers"][1]["balls"][0].update(radius=-1.0)),
+        ("pure", lambda doc: doc["covers"][0].pop("n_train")),
+        ("pure", lambda doc: doc.update(covers="none")),
+    ],
+)
+def test_predict_malformed_model_is_data_error(toy_csv, tmp_path, capsys, variant, break_doc):
+    model, doc = _trained_model_doc(toy_csv, tmp_path, variant)
+    break_doc(doc)
+    model.write_text(json.dumps(doc))
+    feats = features_csv(tmp_path, [(1, 1)])
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid model:")
+    assert not (tmp_path / "p.csv").exists()
+
+
 def simulate_args(tmp_path, out="report.csv", seed="11", threads="1"):
     return [
         "simulate",
@@ -160,6 +190,24 @@ def test_simulate_invalid_grid_is_usage_error(tmp_path, capsys):
     assert main(args3) == 2
 
 
+def test_simulate_zero_se_target_runs_to_the_cap(tmp_path):
+    # under label scores the first two replication AUCs tie exactly
+    # (SE 0), which must not end a run whose target is 0
+    report = tmp_path / "report.csv"
+    code = main(
+        [
+            "simulate", "--setting", "shifted", "--d", "3", "--n", "200", "--q", "0.5",
+            "--delta", "0.1", "--classifiers", "rwcccd", "--se-target", "0",
+            "--max-reps", "8", "--seed", "12", "--threads", "1",
+            "--score-mode", "label", "--out", str(report),
+        ]
+    )
+    assert code == 0
+    with open(report) as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["reps"] == "8"
+
+
 def test_simulate_embedded_rejects_delta(tmp_path):
     args = simulate_args(tmp_path)
     args[args.index("--setting") + 1] = "embedded"
@@ -215,6 +263,18 @@ def test_pilot_empty_grid_is_usage_error(capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0.5", "1,2.5", "0", "-3", "inf"])
+def test_pilot_knn_grid_needs_positive_integers(capsys, grid):
+    code = main(
+        [
+            "pilot", "--setting", "embedded", "--d", "1", "--n", "8", "--q", "1.0",
+            "--family", "knn", "--grid", grid, "--reps", "2",
+        ]
+    )
+    assert code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_pilot_zero_tau_means_epsilon(capsys):

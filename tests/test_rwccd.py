@@ -196,3 +196,48 @@ def test_rw_select_composes_the_pieces():
     sel = rw_select([0.1], X, Y, n_uncovered=3, d_max=0.1)
     assert sel.radius == 0.1 and sel.walk_value == 1.0
     assert sel.score == pytest.approx(-0.5, abs=1e-12)
+
+
+@st.composite
+def lattice_instance(draw):
+    # points of a small integer lattice: many equal distances, duplicate
+    # points within and across classes, and zero-radius balls
+    d = draw(st.sampled_from([1, 2]))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    X = np.array(draw(st.lists(point, min_size=1, max_size=12)), dtype=np.float64).reshape(-1, d)
+    Y = np.array(draw(st.lists(point, max_size=10)), dtype=np.float64).reshape(-1, d)
+    return X, Y
+
+
+def _assert_matches_trace(cover, trace):
+    assert [(b.center_index, b.radius, b.score) for b in cover.balls] == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=lattice_instance(), fixed_weight=st.booleans())
+def test_rw_cover_lattice_ties_match_naive_trace(inst, fixed_weight):
+    X, Y = inst
+    cover = rw_cover(X, Y, fixed_weight=fixed_weight)
+    _assert_matches_trace(cover, naive_rw_trace(X, Y, fixed_weight=fixed_weight))
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=lattice_instance())
+def test_rw_cover_lattice_without_nontargets_matches_naive_trace(inst):
+    X, _ = inst
+    Y = np.empty((0, X.shape[1]))
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
+
+
+def test_rw_cover_matches_naive_trace_through_repeated_compaction():
+    rng = np.random.default_rng(2)
+    X, Y = rng.random((60, 2)), rng.random((40, 2))
+    trace, alive = naive_rw_trace(X, Y, with_alive=True)
+    # the cover keeps the sorted rows of the points alive at its last
+    # compaction and compacts again once fewer than half of them are alive
+    kept, compactions = len(X) + len(Y), 0
+    for alive_t, alive_n in alive:
+        if 2 * (len(alive_t) + len(alive_n)) < kept:
+            kept, compactions = len(alive_t) + len(alive_n), compactions + 1
+    assert compactions >= 2
+    _assert_matches_trace(rw_cover(X, Y), trace)
