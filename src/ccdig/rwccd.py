@@ -150,7 +150,7 @@ def _first_max_walk(live, is_target, last, weight: float) -> tuple[np.ndarray, n
     live &= is_target
     count_t = np.cumsum(live, axis=1, dtype=np.int32)
     count_n -= count_t
-    walk = count_t * weight
+    walk = weight * count_t
     walk -= count_n
     # only the last entry of a run of equal radii carries the full count;
     # a run of dead entries repeats the walk value of the run before it,
@@ -166,9 +166,10 @@ def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False)
     Each iteration recomputes every remaining center's best radius over
     the still-uncovered points (from rows sorted once, see the module
     notes), selects the highest score (lowest original index on ties),
-    and removes everything the chosen closed ball covers. d_max is taken over all original targets, once. With
-    `fixed_weight` the reweighting factor stays at the original
-    class-size ratio instead of tracking the uncovered sets.
+    and removes everything the chosen closed ball covers. d_max is taken
+    over all original targets, once. With `fixed_weight` the reweighting
+    factor stays at the original class-size ratio instead of tracking
+    the uncovered sets.
     """
     X = as_points(targets)
     n = len(X)
