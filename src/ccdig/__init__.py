@@ -44,7 +44,7 @@ from .evaluation import (
     reduction_stats,
     run_simulation,
 )
-from .pccd import ClassCover, CoverBall, Digraph, build_pccd_digraph, greedy_dominating_set, pccd_cover, pccd_radius
+from .pccd import ClassCover, CoverBall, build_pccd_digraph, greedy_dominating_set, pccd_cover
 from .rwccd import RwBallSelection, RwProfile, rw_cover, rw_profile, rw_radius, rw_score
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "ClassCover",
     "ClassifierSpec",
     "CoverBall",
-    "Digraph",
     "EvalReport",
     "LabeledDataset",
     "Prediction",
@@ -79,7 +78,6 @@ __all__ = [
     "overlap_delta",
     "parse_dataset",
     "pccd_cover",
-    "pccd_radius",
     "pilot_select",
     "pilot_study",
     "predict",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabeledDataset, as_point, as_points, cross_distance_matrix
+from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix
 from .pccd import ClassCover, CoverBall, pccd_cover
 from .rwccd import rw_cover
 
@@ -35,15 +35,6 @@ MODEL_FORMAT_VERSION = 1
 
 # the one hyperparameter each variant needs
 HYPER_KEY = {VARIANT_PURE: "tau", VARIANT_RW: "e"}
-
-
-def _check_hyper(variant: str, value: float) -> float:
-    """tau in (0,1] for the pure variant, e in [0,1] for the random walk."""
-    if variant == VARIANT_PURE and not 0.0 < value <= 1.0:
-        raise ValueError("tau must be in (0,1]")
-    if variant == VARIANT_RW and not 0.0 <= value <= 1.0:
-        raise ValueError("e must be in [0,1]")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +97,7 @@ def weighted_dissimilarity(z, ball: CoverBall, e: float) -> float:
     """Scaled dissimilarity raised to the ball's clamped score to the e."""
     if ball.score is None:
         raise ValueError("ball has no score; weighted dissimilarity needs one")
-    e = float(e)
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("e must be in [0,1]")
+    e = check_hyper("e", e)
     rho = scaled_dissimilarity(z, ball)
     exponent = max(ball.score, SCORE_CLAMP) ** e
     with np.errstate(over="ignore"):  # huge rho**exponent saturates to inf
@@ -125,7 +114,7 @@ def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: fl
     value = tau if variant == VARIANT_PURE else e
     if value is None:
         raise ValueError(f"the {variant} variant requires {key}")
-    hyper = {key: _check_hyper(variant, float(value))}
+    hyper = {key: check_hyper(key, value)}
     covers = []
     for c in range(data.n_classes):
         targets = data.points[data.labels == c]
@@ -291,7 +280,7 @@ def _check_model_doc(doc) -> None:
     key = HYPER_KEY[variant]
     need(isinstance(hyper, dict) and key in hyper, f"hyper must hold {key!r} for the {variant} variant")
     need(_is_number(hyper[key]), f"hyper {key} must be a finite number")
-    _check_hyper(variant, hyper[key])
+    check_hyper(key, hyper[key])
     covers, labels = doc["covers"], doc["label_map"]
     need(isinstance(covers, list) and len(covers) >= 2, "covers must list at least two classes")
     need(

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import evaluation
 from .classifier import (
+    HYPER_KEY,
     VARIANT_PURE,
     VARIANT_RW,
     load_model,
@@ -24,7 +25,7 @@ from .classifier import (
     save_model,
     train,
 )
-from .core import parse_dataset, parse_feature_csv
+from .core import check_hyper, parse_dataset, parse_feature_csv
 from .evaluation import (
     ClassifierSpec,
     SimulationConfig,
@@ -68,30 +69,21 @@ def _float_list(raw: str) -> list[float]:
         raise UsageError(f"expected a comma-separated list of numbers, got {raw!r}") from None
 
 
-def _check_tau(tau: float) -> float:
-    if not 0.0 < tau <= 1.0:
-        raise UsageError("tau must be in (0,1]")
-    return tau
-
-
-def _check_e(e: float) -> float:
-    if not 0.0 <= e <= 1.0:
-        raise UsageError("e must be in [0,1]")
-    return e
+def _hyper(key: str, value: float) -> float:
+    """A tau or e flag value, range-checked; a bad value is a usage error."""
+    try:
+        return check_hyper(key, value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
     variant = VARIANT_PURE if args.variant == "pure" else VARIANT_RW
-    if variant == VARIANT_PURE:
-        _check_tau(args.tau)
-    else:
-        _check_e(args.e)
+    key = HYPER_KEY[variant]
+    value = _hyper(key, args.tau if variant == VARIANT_PURE else args.e)
     with open(args.data, encoding="utf-8") as fh:
         data = parse_dataset(fh)
-    if variant == VARIANT_PURE:
-        model = train(data, variant, tau=args.tau)
-    else:
-        model = train(data, variant, e=args.e)
+    model = train(data, variant, **{key: value})
     save_model(model, args.out)
     for cover, name in zip(model.covers, model.label_map):
         print(
@@ -175,9 +167,9 @@ def _classifier_specs(args) -> list[ClassifierSpec]:
         if kind is None:
             raise UsageError(f"unknown classifier {raw!r} (choose from pcccd, rwcccd, knn)")
         if kind == "pcccd":
-            specs.append(ClassifierSpec(kind, _check_tau(args.tau)))
+            specs.append(ClassifierSpec(kind, _hyper("tau", args.tau)))
         elif kind == "rwcccd":
-            specs.append(ClassifierSpec(kind, _check_e(args.e)))
+            specs.append(ClassifierSpec(kind, _hyper("e", args.e)))
         else:
             if args.k < 1:
                 raise UsageError("k must be a positive integer")
@@ -212,9 +204,9 @@ def cmd_pilot(args) -> int:
     family = _KIND_ALIASES.get(args.family)
     if family == "pcccd":
         # the conventional grid writes machine epsilon as 0
-        grid = [EPSILON_TAU if v == 0.0 else _check_tau(v) for v in grid]
+        grid = [EPSILON_TAU if v == 0.0 else _hyper("tau", v) for v in grid]
     elif family == "rwcccd":
-        grid = [_check_e(v) for v in grid]
+        grid = [_hyper("e", v) for v in grid]
     else:
         if not all(v.is_integer() and v >= 1 for v in grid):
             raise UsageError("every k in the grid must be a positive integer")

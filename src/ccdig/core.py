@@ -47,6 +47,18 @@ def as_points(ps) -> np.ndarray:
     return arr
 
 
+def check_hyper(key: str, value) -> float:
+    """The one range check of the cover hyperparameters: tau in (0,1] for
+    pure covers, e in [0,1] for random-walk scores. Returns the value as
+    a float."""
+    value = float(value)
+    if key == "tau" and not 0.0 < value <= 1.0:
+        raise ValueError("tau must be in (0,1]")
+    if key == "e" and not 0.0 <= value <= 1.0:
+        raise ValueError("e must be in [0,1]")
+    return value
+
+
 def distance(a, b) -> float:
     """Euclidean distance between two points of equal dimension."""
     pa = as_point(a)

@@ -32,7 +32,7 @@ from .classifier import (
     train,
     with_hyper,
 )
-from .core import LabeledDataset, as_point, as_points, cross_distance_matrix, sample_uniform_box
+from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
 CLASSIFIER_KINDS = ("pcccd", "rwcccd", "knn")
@@ -252,10 +252,10 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.kind == "pcccd" and not 0.0 < self.param <= 1.0:
-            raise ValueError("tau must be in (0,1]")
-        if self.kind == "rwcccd" and not 0.0 <= self.param <= 1.0:
-            raise ValueError("e must be in [0,1]")
+        if self.kind == "pcccd":
+            check_hyper("tau", self.param)
+        if self.kind == "rwcccd":
+            check_hyper("e", self.param)
         if self.kind == "knn" and (self.param < 1 or self.param != int(self.param)):
             raise ValueError("k must be a positive integer")
 

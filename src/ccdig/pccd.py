@@ -1,11 +1,31 @@
-"""Pure class covers: capped ball radii, the catch digraph, greedy domination.
+"""Pure class covers: capped ball radii, the catch matrix, greedy domination.
 
 A pure cover for a target class is a union of open balls centered at
 selected target points. Each radius is capped by the distance to the
 nearest non-target point, so no non-target point ever falls strictly
 inside a ball. Ball centers are chosen as a greedy approximate minimum
-dominating set of the digraph whose arc i -> j means "the ball at i
-catches point j".
+dominating set of the catch digraph, whose arc i -> j means "the ball at
+i catches point j".
+
+`pccd_cover` works on plain arrays from end to end:
+
+1. distances: target-to-target `dist_t` (n, n) and target-to-non-target
+   `dist_n` (n, m), each computed once;
+2. radii from both (`pccd_radii`);
+3. the closed catch matrix, `dist_t < radii[:, None]` with the diagonal
+   set (`build_pccd_digraph`);
+4. the greedy dominating set on that matrix, which keeps each vertex's
+   count of undominated closed neighbours current by subtracting the
+   columns each pick dominates, so every column is summed once
+   (`greedy_dominating_set`);
+5. the purity and properness flags, checked against the same distances.
+
+Memory (n = m, measured with tracemalloc): the two distance matrices
+hold 16 bytes per n * n cell for the whole cover, `pccd_radii` briefly
+adds 9 and the catch matrix 1. The peak comes while the distance kernel
+builds `dist_n` beside `dist_t`: 72 bytes per cell up to n = 800, and
+110 MiB (45 bytes per cell) at n = 1600, where the kernel's chunked work
+buffer stops growing with n.
 """
 
 from __future__ import annotations
@@ -14,31 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_points, cross_distance_matrix
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph as per-vertex tuples of out-neighbor indices."""
-
-    n_vertices: int
-    arcs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n_vertices < 0:
-            raise ValueError("vertex count must be non-negative")
-        if len(self.arcs) != self.n_vertices:
-            raise ValueError("arcs must list out-neighbors for every vertex")
-        arcs = tuple(tuple(int(j) for j in nbrs) for nbrs in self.arcs)
-        for i, nbrs in enumerate(arcs):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"duplicate arcs out of vertex {i}")
-            for j in nbrs:
-                if not 0 <= j < self.n_vertices:
-                    raise ValueError(f"arc {i}->{j} leaves the vertex range")
-                if j == i:
-                    raise ValueError(f"self-arc at vertex {i}")
-        object.__setattr__(self, "arcs", arcs)
+from .core import as_points, check_hyper, cross_distance_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +88,9 @@ class ClassCover:
         return np.array([b.radius for b in self.balls], dtype=np.float64)
 
 
-def _validate_tau(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must be in (0,1]")
-    return tau
-
-
-def pccd_radii(targets, nontargets, tau: float) -> np.ndarray:
-    """Ball radius for every target point.
+def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
+    """Ball radius for every target point, from the target-to-target
+    (n, n) and target-to-non-target (n, m) distance matrices.
 
     With d_near = distance to the nearest non-target point and
     d_far = largest target distance strictly below d_near (the point
@@ -111,11 +101,10 @@ def pccd_radii(targets, nontargets, tau: float) -> np.ndarray:
     so r always lands in (0, d_near]. A target point duplicated in the
     non-target class has d_near = 0 and gets radius 0.
     """
-    tau = _validate_tau(tau)
-    X = as_points(targets)
-    Y = as_points(nontargets)
-    dist_t = cross_distance_matrix(X, X)
-    dist_n = cross_distance_matrix(X, Y)
+    tau = check_hyper("tau", tau)
+    n = len(dist_t)
+    if dist_t.shape != (n, n) or dist_n.ndim != 2 or len(dist_n) != n or dist_n.shape[1] == 0:
+        raise ValueError("need (n, n) target and (n, m >= 1) non-target distance matrices")
     d_near = dist_n.min(axis=1)
     masked = np.where(dist_t < d_near[:, None], dist_t, -np.inf)
     d_far = masked.max(axis=1)
@@ -124,51 +113,40 @@ def pccd_radii(targets, nontargets, tau: float) -> np.ndarray:
     return np.where(d_near > 0, radii, 0.0)
 
 
-def pccd_radius(x_index: int, targets, nontargets, tau: float) -> float:
-    """Radius of the ball centered at targets[x_index]."""
-    radii = pccd_radii(targets, nontargets, tau)
-    if not 0 <= x_index < len(radii):
-        raise ValueError(f"x_index {x_index} out of range")
-    return float(radii[x_index])
-
-
-def build_pccd_digraph(targets, radii) -> Digraph:
-    """Arc i -> j (i != j) iff target j lies strictly inside ball i."""
-    X = as_points(targets)
+def build_pccd_digraph(dist_t, radii) -> np.ndarray:
+    """Closed catch matrix of the targets: entry (i, j) is True iff j == i
+    or target j lies strictly inside ball i (the arc i -> j)."""
     r = np.asarray(radii, dtype=np.float64)
-    if r.ndim != 1 or len(r) != len(X):
+    if r.ndim != 1 or np.shape(dist_t) != (len(r), len(r)):
         raise ValueError("need exactly one radius per target point")
     if np.any(r < 0) or not np.all(np.isfinite(r)):
         raise ValueError("radii must be finite and non-negative")
-    dist = cross_distance_matrix(X, X)
-    caught = dist < r[:, None]
-    np.fill_diagonal(caught, False)
-    arcs = tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in caught)
-    return Digraph(n_vertices=len(X), arcs=arcs)
+    closed = dist_t < r[:, None]
+    np.fill_diagonal(closed, True)
+    return closed
 
 
-def greedy_dominating_set(g: Digraph) -> list[int]:
+def greedy_dominating_set(closed) -> list[int]:
     """Greedy approximate minimum dominating set, in selection order.
 
-    Repeatedly picks the vertex with the largest closed neighborhood in
-    the digraph induced by the still-undominated vertices, removing that
-    neighborhood. Ties go to the lowest vertex index.
+    `closed` is a square boolean matrix with the diagonal set: row i is
+    the closed neighborhood of vertex i. Repeatedly picks the
+    undominated vertex with the most undominated vertices in its closed
+    neighborhood, and marks that neighborhood dominated. Ties go to the
+    lowest vertex index.
     """
-    n = g.n_vertices
-    if n == 0:
-        return []
-    closed = np.zeros((n, n), dtype=bool)
-    for i, nbrs in enumerate(g.arcs):
-        closed[i, list(nbrs)] = True
-        closed[i, i] = True
-    alive = np.ones(n, dtype=bool)
+    closed = np.asarray(closed, dtype=bool)
+    if closed.ndim != 2 or closed.shape[0] != closed.shape[1] or not closed.diagonal().all():
+        raise ValueError("need a square boolean matrix with the diagonal set")
+    counts = closed.sum(axis=1)
+    alive = np.ones(len(closed), dtype=bool)
     selected: list[int] = []
     while alive.any():
-        idx = np.flatnonzero(alive)
-        counts = closed[np.ix_(idx, idx)].sum(axis=1)
-        v = int(idx[np.argmax(counts)])
+        v = int(np.argmax(np.where(alive, counts, -1)))
         selected.append(v)
-        alive &= ~closed[v]
+        newly = closed[v] & alive
+        alive &= ~newly
+        counts -= closed[:, newly].sum(axis=1)
     return selected
 
 
@@ -182,15 +160,14 @@ def pccd_cover(targets, nontargets, tau: float, class_id: int = 0) -> ClassCover
     Y = as_points(nontargets)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("both the target and non-target class must be non-empty")
-    radii = pccd_radii(X, Y, tau)
-    digraph = build_pccd_digraph(X, radii)
-    centers = greedy_dominating_set(digraph)
+    dist_t = cross_distance_matrix(X, X)
+    dist_n = cross_distance_matrix(X, Y)
+    radii = pccd_radii(dist_t, dist_n, tau)
+    centers = greedy_dominating_set(build_pccd_digraph(dist_t, radii))
     balls = tuple(
         CoverBall(center=X[i], center_index=i, radius=float(radii[i]), ball_kind="open")
         for i in centers
     )
-    dist_t = cross_distance_matrix(X, X)
-    dist_n = cross_distance_matrix(X, Y)
     sel = np.array(centers, dtype=np.int64)
     r_sel = radii[sel]
     is_pure = not np.any(dist_n[sel] < r_sel[:, None])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ccdig.core import distance
+from ccdig.core import as_points, cross_distance_matrix, distance
 from ccdig.rwccd import rw_select
 
 
@@ -27,21 +27,45 @@ def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
     return draw(n), draw(m)
 
 
-def exact_min_dominating_size(digraph) -> int:
-    """Exhaustive minimum dominating set size (for small digraphs only)."""
-    n = digraph.n_vertices
+def distance_pair(targets, nontargets):
+    """The (target-target, target-non-target) distance matrices a pure
+    cover is built from."""
+    X = as_points(targets)
+    return cross_distance_matrix(X, X), cross_distance_matrix(X, nontargets)
+
+
+def exact_min_dominating_size(closed) -> int:
+    """Exhaustive minimum dominating set size of a closed catch matrix
+    (row i = closed neighborhood of vertex i; small matrices only)."""
+    n = len(closed)
     if n == 0:
         return 0
-    closed = [frozenset(nbrs) | {i} for i, nbrs in enumerate(digraph.arcs)]
+    rows = [frozenset(np.flatnonzero(row).tolist()) | {i} for i, row in enumerate(closed)]
     everything = frozenset(range(n))
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             dominated = frozenset()
             for v in subset:
-                dominated |= closed[v]
+                dominated |= rows[v]
             if dominated == everything:
                 return size
     raise AssertionError("the full vertex set always dominates")
+
+
+def naive_greedy_dominating_set(closed) -> list[int]:
+    """Reference greedy dominating set: recounts every undominated
+    vertex's undominated closed neighborhood before each pick and takes
+    the first maximum."""
+    closed = np.asarray(closed, dtype=bool)
+    alive = np.ones(len(closed), dtype=bool)
+    selected = []
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        counts = closed[np.ix_(idx, idx)].sum(axis=1)
+        v = int(idx[np.argmax(counts)])
+        selected.append(v)
+        alive &= ~closed[v]
+    return selected
 
 
 def brute_force_walk(x, H0, H1, weight=None):

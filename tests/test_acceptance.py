@@ -26,7 +26,7 @@ from ccdig.evaluation import (
 )
 from ccdig.pccd import build_pccd_digraph, greedy_dominating_set, pccd_cover, pccd_radii
 from ccdig.rwccd import rw_cover, rw_profile
-from helpers import brute_force_auc, brute_force_walk, exact_min_dominating_size, random_instance
+from helpers import brute_force_auc, brute_force_walk, distance_pair, exact_min_dominating_size, random_instance
 
 EPS = float(np.finfo(np.float64).eps)
 TAU_GRID = [EPS] + [round(0.1 * i, 1) for i in range(1, 11)]
@@ -81,10 +81,11 @@ def test_criterion_02_greedy_vs_exact_dominating_set():
         for i in range(100):
             X, Y = random_instance(20_000 + i, dims=(1, 2), n_range=(1, 12), m_range=(1, 8))
             tau = float(rng.uniform(0.05, 1.0))
-            g = build_pccd_digraph(X, pccd_radii(X, Y, tau))
-            greedy = len(greedy_dominating_set(g))
-            exact = exact_min_dominating_size(g)
-            assert greedy <= (1.0 + math.log(g.n_vertices)) * exact
+            dist_t, dist_n = distance_pair(X, Y)
+            closed = build_pccd_digraph(dist_t, pccd_radii(dist_t, dist_n, tau))
+            greedy = len(greedy_dominating_set(closed))
+            exact = exact_min_dominating_size(closed)
+            assert greedy <= (1.0 + math.log(len(closed))) * exact
             ratios.append(greedy / exact)
         print(f"    greedy/exact mean ratio: {np.mean(ratios):.4f} over 100 instances")
 
@@ -93,8 +94,9 @@ def test_criterion_03_tau_invariance_of_arcs():
     with criterion(3, "arc sets identical for tau in {1e-4, 0.3, 1.0}"):
         for i in range(50):
             X, Y = random_instance(30_000 + i, dims=(1, 2, 5), n_range=(3, 40), m_range=(3, 40))
-            graphs = [build_pccd_digraph(X, pccd_radii(X, Y, t)) for t in (1e-4, 0.3, 1.0)]
-            assert graphs[0] == graphs[1] == graphs[2]
+            dist_t, dist_n = distance_pair(X, Y)
+            graphs = [build_pccd_digraph(dist_t, pccd_radii(dist_t, dist_n, t)) for t in (1e-4, 0.3, 1.0)]
+            assert np.array_equal(graphs[0], graphs[1]) and np.array_equal(graphs[1], graphs[2])
 
 
 def test_criterion_04_random_walk_oracle():

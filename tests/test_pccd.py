@@ -1,55 +1,57 @@
-"""Tests for pure covers: radii, catch digraph, greedy domination."""
+"""Tests for pure covers: radii, the catch matrix, greedy domination."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdig.core import cross_distance_matrix
 from ccdig.pccd import (
     ClassCover,
     CoverBall,
-    Digraph,
     build_pccd_digraph,
     greedy_dominating_set,
     pccd_cover,
     pccd_radii,
-    pccd_radius,
 )
-from helpers import exact_min_dominating_size, ln_bound, random_instance
+from helpers import distance_pair, exact_min_dominating_size, ln_bound, naive_greedy_dominating_set, random_instance
+
+
+def radius(x_index, targets, nontargets, tau):
+    return float(pccd_radii(*distance_pair(targets, nontargets), tau)[x_index])
 
 
 def test_radius_tau_one_is_nearest_enemy_distance():
-    assert pccd_radius(0, [0.0, 0.4], [1.0], 1.0) == 1.0
+    assert radius(0, [0.0, 0.4], [1.0], 1.0) == 1.0
 
 
 def test_radius_blends_friend_and_enemy_distances():
-    assert pccd_radius(0, [0.0, 0.4], [1.0], 0.5) == pytest.approx(0.7, rel=1e-15)
+    assert radius(0, [0.0, 0.4], [1.0], 0.5) == pytest.approx(0.7, rel=1e-15)
 
 
 def test_radius_singleton_target():
-    assert pccd_radius(0, [0.0], [1.0], 0.5) == pytest.approx(0.5, rel=1e-15)
+    assert radius(0, [0.0], [1.0], 0.5) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_radius_duplicate_across_classes_is_zero():
-    assert pccd_radius(0, [0.0, 1.0], [0.0], 0.7) == 0.0
+    assert radius(0, [0.0, 1.0], [0.0], 0.7) == 0.0
 
 
 def test_radius_tau_validation():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="tau"):
-            pccd_radius(0, [0.0], [1.0], bad)
+            radius(0, [0.0], [1.0], bad)
 
 
 def test_radius_requires_nontargets():
     with pytest.raises(ValueError):
-        pccd_radius(0, [0.0], np.empty((0, 1)), 0.5)
+        pccd_radii(np.zeros((1, 1)), np.empty((1, 0)), 0.5)
 
 
 def test_radius_in_unit_interval_of_enemy_distance():
     X, Y = random_instance(99)
     for tau in (1e-4, 0.5, 1.0):
-        radii = pccd_radii(X, Y, tau)
+        radii = pccd_radii(*distance_pair(X, Y), tau)
         nearest_enemy = cross_distance_matrix(X, Y).min(axis=1)
         assert np.all(radii > 0)
         assert np.all(radii <= nearest_enemy)
@@ -59,94 +61,98 @@ def test_radius_monotone_in_tau():
     for seed in range(8):
         X, Y = random_instance(seed, n_range=(3, 20), m_range=(3, 20))
         taus = np.sort(np.random.default_rng(seed).uniform(1e-6, 1.0, 5))
-        stacked = np.array([pccd_radii(X, Y, t) for t in taus])
+        stacked = np.array([pccd_radii(*distance_pair(X, Y), t) for t in taus])
         assert np.all(np.diff(stacked, axis=0) >= -1e-12 * stacked[:1])
 
 
 def test_digraph_example_arcs():
-    targets = [0.0, 0.1, 5.0]
-    radii = pccd_radii(targets, [1.0], 1.0)
+    dist_t, dist_n = distance_pair([0.0, 0.1, 5.0], [1.0])
+    radii = pccd_radii(dist_t, dist_n, 1.0)
     np.testing.assert_array_equal(radii, [1.0, 0.9, 4.0])
-    g = build_pccd_digraph(targets, radii)
-    assert g.arcs == ((1,), (0,), ())
+    closed = build_pccd_digraph(dist_t, radii)
+    assert np.array_equal(closed, [[True, True, False], [True, True, False], [False, False, True]])
 
 
 def test_digraph_single_vertex():
-    g = build_pccd_digraph([0.0], [1.0])
-    assert g.n_vertices == 1 and g.arcs == ((),)
+    assert np.array_equal(build_pccd_digraph(np.zeros((1, 1)), [1.0]), [[True]])
 
 
 def test_digraph_length_mismatch():
     with pytest.raises(ValueError):
-        build_pccd_digraph([0.0, 1.0], [1.0])
-
-
-def test_digraph_validation():
-    with pytest.raises(ValueError, match="self-arc"):
-        Digraph(2, ((0,), ()))
-    with pytest.raises(ValueError, match="duplicate"):
-        Digraph(2, ((1, 1), ()))
-    with pytest.raises(ValueError):
-        Digraph(2, ((2,), ()))
+        build_pccd_digraph(np.zeros((2, 2)), [1.0])
 
 
 def test_tau_invariance_of_arcs():
     for seed in range(10):
         X, Y = random_instance(seed, n_range=(3, 30), m_range=(3, 30))
-        graphs = [build_pccd_digraph(X, pccd_radii(X, Y, t)) for t in (1e-4, 0.3, 1.0)]
-        assert graphs[0] == graphs[1] == graphs[2]
+        dist_t, dist_n = distance_pair(X, Y)
+        graphs = [build_pccd_digraph(dist_t, pccd_radii(dist_t, dist_n, t)) for t in (1e-4, 0.3, 1.0)]
+        assert np.array_equal(graphs[0], graphs[1]) and np.array_equal(graphs[1], graphs[2])
 
 
 def test_greedy_complete_digraph():
-    g = Digraph(3, ((1, 2), (0, 2), (0, 1)))
-    assert greedy_dominating_set(g) == [0]
+    assert greedy_dominating_set(np.ones((3, 3), dtype=bool)) == [0]
 
 
 def test_greedy_no_arcs_selects_everything():
-    g = Digraph(4, ((), (), (), ()))
-    assert greedy_dominating_set(g) == [0, 1, 2, 3]
+    assert greedy_dominating_set(np.eye(4, dtype=bool)) == [0, 1, 2, 3]
 
 
 def test_greedy_star_matches_exact_oracle():
-    g = Digraph(4, ((1, 2, 3), (), (), ()))
-    sel = greedy_dominating_set(g)
-    assert sel == [0]
-    assert exact_min_dominating_size(g) == 1
+    closed = np.eye(4, dtype=bool)
+    closed[0] = True
+    assert greedy_dominating_set(closed) == [0]
+    assert exact_min_dominating_size(closed) == 1
 
 
 def test_greedy_empty_digraph():
-    assert greedy_dominating_set(Digraph(0, ())) == []
+    assert greedy_dominating_set(np.zeros((0, 0), dtype=bool)) == []
 
 
 def test_greedy_tie_break_lowest_index():
     # both vertices catch each other: closed neighborhoods tie at size 2
-    g = Digraph(2, ((1,), (0,)))
-    assert greedy_dominating_set(g) == [0]
+    assert greedy_dominating_set(np.ones((2, 2), dtype=bool)) == [0]
+
+
+def test_greedy_rejects_a_matrix_that_is_not_a_closed_catch_matrix():
+    with pytest.raises(ValueError):
+        greedy_dominating_set(np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValueError):
+        greedy_dominating_set(np.zeros((2, 2), dtype=bool))
+
+
+def closed_matrices(max_n):
+    """Square boolean matrices with the diagonal set, half the other
+    cells caught on average, so neighborhood counts often tie."""
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda cells: np.array(cells, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
+        )
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
-def test_greedy_always_dominates(case):
-    n, pairs = case
-    arcs = [set() for _ in range(n)]
-    for i, j in pairs:
-        if i != j:
-            arcs[i].add(j)
-    g = Digraph(n, tuple(tuple(sorted(a)) for a in arcs))
-    sel = greedy_dominating_set(g)
-    dominated = set(sel)
-    for v in sel:
-        dominated |= set(g.arcs[v])
-    assert dominated == set(range(n))
+@given(closed_matrices(9))
+def test_greedy_always_dominates(closed):
+    sel = greedy_dominating_set(closed)
+    assert closed[sel].any(axis=0).all()
+
+
+@settings(max_examples=400, deadline=None)
+@given(closed_matrices(12))
+@example(np.zeros((0, 0), dtype=bool))
+def test_greedy_matches_naive_recount(closed):
+    assert greedy_dominating_set(closed) == naive_greedy_dominating_set(closed)
 
 
 def test_greedy_within_ln_bound_on_random_instances():
     for seed in range(10):
         X, Y = random_instance(1000 + seed, dims=(1, 2), n_range=(1, 12), m_range=(1, 8))
-        g = build_pccd_digraph(X, pccd_radii(X, Y, 0.5))
-        greedy = len(greedy_dominating_set(g))
-        exact = exact_min_dominating_size(g)
-        assert greedy <= ln_bound(g.n_vertices) * exact
+        dist_t, dist_n = distance_pair(X, Y)
+        closed = build_pccd_digraph(dist_t, pccd_radii(dist_t, dist_n, 0.5))
+        greedy = len(greedy_dominating_set(closed))
+        exact = exact_min_dominating_size(closed)
+        assert greedy <= ln_bound(len(closed)) * exact
 
 
 def test_cover_example_tie_break():
@@ -190,14 +196,16 @@ def test_cover_duplicate_point_across_classes():
 def test_scale_invariance_of_structure():
     for seed in range(8):
         X, Y = random_instance(seed, n_range=(4, 25), m_range=(4, 25))
-        base_r = pccd_radii(X, Y, 0.4)
-        base_g = build_pccd_digraph(X, base_r)
+        dist_t, dist_n = distance_pair(X, Y)
+        base_r = pccd_radii(dist_t, dist_n, 0.4)
+        base_g = build_pccd_digraph(dist_t, base_r)
         base_sel = greedy_dominating_set(base_g)
         for c in (1e-3, 1e3):
-            r = pccd_radii(c * X, c * Y, 0.4)
+            dist_t, dist_n = distance_pair(c * X, c * Y)
+            r = pccd_radii(dist_t, dist_n, 0.4)
             np.testing.assert_allclose(r, c * base_r, rtol=1e-12)
-            g = build_pccd_digraph(c * X, r)
-            assert g == base_g
+            g = build_pccd_digraph(dist_t, r)
+            assert np.array_equal(g, base_g)
             assert greedy_dominating_set(g) == base_sel
 
 
