@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from ccdig.classifier import train
-from ccdig.evaluation import SimulationConfig, _sample_replication, reduction_stats
+from ccdig.evaluation import SimulationConfig, reduction_stats, sample_replication
 
 
 def main():
@@ -36,8 +36,7 @@ def main():
         )
         p_counts, rw_counts, p_ratios, rw_ratios = [], [], [], []
         for rep in range(args.reps):
-            rng = np.random.default_rng(config.base_seed + rep)
-            train_data, _, _ = _sample_replication(config, rng)
+            train_data, _, _ = sample_replication(config, rep)
             for variant, kw, counts, ratios in (
                 ("pure", {"tau": 1.0}, p_counts, p_ratios),
                 ("random_walk", {"e": 1.0}, rw_counts, rw_ratios),

@@ -299,7 +299,13 @@ class EvalReport:
         return self.results[0].reps if self.results else 0
 
 
-def _sample_replication(config: SimulationConfig, rng: np.random.Generator):
+def sample_replication(config: SimulationConfig, rep: int):
+    """Training set, test points and test labels of replication `rep`.
+
+    Replication r draws from SeedSequence((base_seed, r)), so replications
+    of different base seeds never share a stream.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, rep)))
     x_low, x_high, y_low, y_high = config.supports()
     d, n, m, t = config.d, config.n, config.resolved_m, config.test_per_class
     train_x = sample_uniform_box(d, x_low, x_high, n, rng)
@@ -352,8 +358,7 @@ def _check_score_mode(score_mode: str) -> str:
 
 
 def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode: str):
-    rng = np.random.default_rng(config.base_seed + rep)
-    train_data, test_points, test_labels = _sample_replication(config, rng)
+    train_data, test_points, test_labels = sample_replication(config, rep)
     aucs = []
     protos = []
     for spec in classifiers:
@@ -375,8 +380,9 @@ def run_simulation(
     of 0 always runs to the cap: replication AUCs that tie exactly give
     an SE of 0, which would otherwise meet it after two replications.
 
-    Deterministic for a given base seed; replication r always uses seed
-    base_seed + r, so the report does not depend on the thread count.
+    Deterministic for a given base seed; replication r always draws its
+    data from `sample_replication(config, r)`, so the report does not
+    depend on the thread count.
     """
     classifiers = tuple(classifiers)
     if not classifiers:
@@ -465,8 +471,7 @@ def pilot_study(
         raise ValueError("reps must be at least 1")
     counts = np.zeros(len(grid), dtype=np.int64)
     for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, rep)))
-        train_data, test_points, test_labels = _sample_replication(config, rng)
+        train_data, test_points, test_labels = sample_replication(config, rep)
         if family == "rwcccd":
             # covers do not depend on e, so fit once and swap the exponent
             base = train(train_data, VARIANT_RW, e=grid[0])

@@ -23,6 +23,7 @@ from ccdig.evaluation import (
     reduction_stats,
     report_rows,
     run_simulation,
+    sample_replication,
 )
 from helpers import brute_force_auc, random_instance, trapezoid_roc_auc
 
@@ -417,12 +418,9 @@ def test_reduction_stats_ratio():
 
 def test_pure_covers_keep_more_prototypes_than_rw_when_overlapping():
     cfg = SimulationConfig(setting="shifted", d=3, n=100, q=1.0, delta=0.1, base_seed=11)
-    from ccdig.evaluation import _sample_replication
-
     p_counts, rw_counts = [], []
     for rep in range(5):
-        rng = np.random.default_rng(cfg.base_seed + rep)
-        tr, _, _ = _sample_replication(cfg, rng)
+        tr, _, _ = sample_replication(cfg, rep)
         p_counts.append(sum(c.n_balls for c in train(tr, "pure", tau=1.0).covers))
         rw_counts.append(sum(c.n_balls for c in train(tr, "random_walk", e=1.0).covers))
     assert np.mean(p_counts) >= np.mean(rw_counts)
