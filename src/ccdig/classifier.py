@@ -378,5 +378,5 @@ def load_model(path) -> CccdModel:
 def with_hyper(model: CccdModel, **hyper) -> CccdModel:
     """Same covers, different prediction hyperparameters (e.g. a new e)."""
     merged = dict(model.hyper)
-    merged.update({k: float(v) for k, v in hyper.items()})
+    merged.update({k: check_hyper(k, v) for k, v in hyper.items()})
     return replace(model, hyper=merged)

@@ -401,6 +401,8 @@ def test_with_hyper_swaps_exponent():
     swapped = with_hyper(model, e=1.0)
     assert swapped.hyper == {"e": 1.0}
     assert swapped.covers is model.covers
+    with pytest.raises(ValueError, match="e must"):
+        with_hyper(model, e=7.0)
 
 
 def test_model_validation():
