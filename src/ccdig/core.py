@@ -14,6 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# numpy adds up to this many float64 terms in one block of eight
+# interleaved accumulators; longer sums are split pairwise
+PAIRWISE_MAX = 128
+
+# entries per work array of the distance kernel (128 KiB, cache-sized)
+KERNEL_BLOCK = 1 << 14
+
+
 class DatasetFormatError(ValueError):
     """Raised when CSV input violates the dataset format."""
 
@@ -70,20 +78,69 @@ def distance(a, b) -> float:
 
 
 def cross_distance_matrix(A, B) -> np.ndarray:
-    """All pairwise Euclidean distances, entry (i, j) = distance(A[i], B[j])."""
+    """All pairwise Euclidean distances, entry (i, j) = distance(A[i], B[j]).
+
+    Each entry is bit-identical to sqrt(((A[i] - B[j]) ** 2).sum()). Up
+    to PAIRWISE_MAX coordinates the squared differences are summed
+    straight into the output, one coordinate at a time and in the order
+    numpy's float64 sum uses, so no (rows, m, d) temporary is built: the
+    work arrays are one block (d < 8) or eight blocks of
+    max(KERNEL_BLOCK, m) float64 entries. Above PAIRWISE_MAX numpy
+    splits each sum pairwise, and the kernel falls back to the broadcast
+    form, row-chunked to 4 M entries per buffer.
+    """
     a = as_points(A)
     b = as_points(B)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("cannot build a distance matrix over an empty point set")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    out = np.empty((len(a), len(b)), dtype=np.float64)
-    # chunk rows to bound the (chunk, m, d) broadcast buffer
-    chunk = max(1, 4_000_000 // (b.shape[0] * b.shape[1] + 1))
-    for i in range(0, len(a), chunk):
-        diff = a[i : i + chunk, None, :] - b[None, :, :]
-        out[i : i + chunk] = np.sqrt((diff * diff).sum(axis=-1))
-    return out
+    n, m, d = len(a), len(b), a.shape[1]
+    out = np.empty((n, m), dtype=np.float64)
+    if d > PAIRWISE_MAX:
+        chunk = max(1, 4_000_000 // (m * d + 1))
+        for i in range(0, n, chunk):
+            diff = a[i : i + chunk, None, :] - b[None, :, :]
+            out[i : i + chunk] = np.sqrt((diff * diff).sum(axis=-1))
+        return out
+    at, bt = a.T.copy(), b.T.copy()  # one contiguous row per coordinate
+    rows = max(1, KERNEL_BLOCK // m)
+    scratch = np.empty((1 if d < 8 else 8, min(rows, n), m), dtype=np.float64)
+    for i in range(0, n, rows):
+        block = out[i : i + rows]
+        _sum_squares(at[:, i : i + rows], bt, block, scratch[:, : len(block)])
+    return np.sqrt(out, out=out)
+
+
+def _sum_squares(at, bt, out, scratch) -> None:
+    """out[i, j] = sum over k of (at[k, i] - bt[k, j]) ** 2, added in
+    numpy's pairwise order: plain below 8 terms; otherwise 8 interleaved
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the d % 8 tail in order. `scratch` holds the term (slot 0) and, from
+    8 terms on, accumulators r1..r7 (slots 1-7); out is r0."""
+
+    def square(k, dst):
+        np.subtract(at[k, :, None], bt[k], out=dst)
+        np.multiply(dst, dst, out=dst)
+
+    d = len(at)
+    term = scratch[0]
+    if d < 8:
+        square(0, out)
+        tail = 1
+    else:
+        acc = [out, *scratch[1:]]
+        for j in range(8):
+            square(j, acc[j])
+        tail = d - d % 8
+        for k in range(8, tail):
+            square(k, term)
+            acc[k % 8] += term
+        for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            acc[x] += acc[y]
+    for k in range(tail, d):
+        square(k, term)
+        out += term
 
 
 def sample_uniform_box(d: int, low, high, n: int, seed) -> np.ndarray:

@@ -27,6 +27,7 @@ from .classifier import (
     VARIANT_PURE,
     VARIANT_RW,
     CccdModel,
+    _labels,
     discriminant_batch,
     predict_batch,
     train,
@@ -68,20 +69,33 @@ def auc(scores, labels) -> float:
     return float((rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
-def _majority_label(neighbor_labels: np.ndarray, counts, n_classes: int) -> int:
-    votes = np.bincount(neighbor_labels, minlength=n_classes)
-    return int(min(range(n_classes), key=lambda c: (-votes[c], -counts[c], c)))
+def _majority_labels(neighbors: np.ndarray, counts, n_classes: int) -> np.ndarray:
+    """Per row of neighbor labels, the most frequent: the argmin of the
+    negated votes, so ties go to the larger training class, then the
+    lower class id."""
+    rows = len(neighbors)
+    offset = neighbors + n_classes * np.arange(rows)[:, None]
+    votes = np.bincount(offset.ravel(), minlength=rows * n_classes).reshape(rows, n_classes)
+    return _labels(-votes, counts)
 
 
 def _knn_neighbor_labels(train_data: LabeledDataset, points, k: int) -> np.ndarray:
+    """Labels of the k nearest training points of each query, in training
+    order; among points at the k-th smallest distance the lowest indices
+    are taken, the same set a stable sort of the distances would give."""
     if not 1 <= k <= train_data.n:
         raise ValueError(f"k must be in [1, {train_data.n}]")
     pts = as_points(points)
     if pts.shape[1] != train_data.dim:
         raise ValueError("dimension mismatch between query and training data")
     dist = cross_distance_matrix(pts, train_data.points)
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return train_data.labels[nearest]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    chosen = dist < kth
+    at_kth = dist == kth
+    # how many of the points tied at the k-th distance still fit
+    room = k - np.count_nonzero(chosen, axis=1)
+    chosen |= at_kth & (np.cumsum(at_kth, axis=1) <= room[:, None])
+    return train_data.labels[np.nonzero(chosen)[1].reshape(len(pts), k)]
 
 
 def knn_predict(train_data: LabeledDataset, z, k: int, positive: int = 1) -> tuple[int, float]:
@@ -91,19 +105,15 @@ def knn_predict(train_data: LabeledDataset, z, k: int, positive: int = 1) -> tup
     class. Distance ties go to the lower training index; vote ties to
     the larger training class, then the lower class id.
     """
-    neighbors = _knn_neighbor_labels(train_data, as_point(z)[None, :], k)[0]
-    label = _majority_label(neighbors, train_data.class_counts, train_data.n_classes)
+    neighbors = _knn_neighbor_labels(train_data, as_point(z)[None, :], k)
+    label = int(_majority_labels(neighbors, train_data.class_counts, train_data.n_classes)[0])
     return label, float(np.mean(neighbors == positive))
 
 
 def knn_predict_batch(train_data: LabeledDataset, points, k: int) -> np.ndarray:
     """Majority labels for many query points at once."""
     neighbors = _knn_neighbor_labels(train_data, points, k)
-    counts = train_data.class_counts
-    return np.array(
-        [_majority_label(row, counts, train_data.n_classes) for row in neighbors],
-        dtype=np.int64,
-    )
+    return _majority_labels(neighbors, train_data.class_counts, train_data.n_classes)
 
 
 def knn_scores(train_data: LabeledDataset, points, k: int, positive: int = 1) -> np.ndarray:
@@ -256,8 +266,10 @@ class ClassifierSpec:
             check_hyper("tau", self.param)
         if self.kind == "rwcccd":
             check_hyper("e", self.param)
-        if self.kind == "knn" and (self.param < 1 or self.param != int(self.param)):
-            raise ValueError("k must be a positive integer")
+        if self.kind == "knn":
+            # inf and nan must fail here, not in int()
+            if not (math.isfinite(self.param) and self.param >= 1 and self.param == int(self.param)):
+                raise ValueError("k must be a positive integer")
 
     @property
     def name(self) -> str:

@@ -20,12 +20,11 @@ i catches point j".
    (`greedy_dominating_set`);
 5. the purity and properness flags, checked against the same distances.
 
-Memory (n = m, measured with tracemalloc): the two distance matrices
-hold 16 bytes per n * n cell for the whole cover, `pccd_radii` briefly
-adds 9 and the catch matrix 1. The peak comes while the distance kernel
-builds `dist_n` beside `dist_t`: 72 bytes per cell up to n = 800, and
-110 MiB (45 bytes per cell) at n = 1600, where the kernel's chunked work
-buffer stops growing with n.
+Memory (n = m, d = 3, measured with tracemalloc): the two distance
+matrices hold 16 bytes per n * n cell for the whole cover, `pccd_radii`
+briefly adds 9 more and the catch matrix 1, and the peak is 25 bytes
+per cell at every n from 200 to 1600 (61 MiB at n = 1600). The distance
+kernel's work arrays add at most 1 MiB while m <= 16384.
 """
 
 from __future__ import annotations

@@ -17,23 +17,30 @@ balls cover nothing, not even their own center).
 
 `rw_cover` sorts each row of the (n, n + m) target-to-all distance
 matrix once per fit (stable argsort, int32 permutation) and keeps, in
-sorted order, a target-column mask and a mask of the last entry of each
-run of equal radii. Between iterations only liveness changes: each
-iteration gathers the alive-column indicator of the alive rows in sorted
-order, and cumulative sums of it give every candidate radius its
-alive-target and alive-non-target counts. Only run ends are candidates;
-a run of covered points alone repeats the walk value of the run before
-it, so the first maximum is the smallest alive radius, exactly as if the
-alive submatrix had been sorted afresh. Once fewer than half the kept
-columns are alive, the permutation and the sorted distances shrink to
-the alive rows and columns, so iterations get cheaper as the cover grows.
+sorted order, a target-column mask and a mask of the entries that are
+not the last of their run of equal radii. Between iterations only
+liveness changes: each iteration gathers the alive-column indicator of
+the alive rows in sorted order, and cumulative sums of it give every
+candidate radius its alive-target and alive-non-target counts. Only run
+ends are candidates; a run of covered points alone repeats the walk
+value of the run before it, so the first maximum is the smallest alive
+radius, exactly as if the alive submatrix had been sorted afresh. Once
+fewer than half the kept columns are alive, the permutation and the
+sorted distances shrink to the alive rows and columns, so iterations get
+cheaper as the cover grows. The walk of every iteration is computed in
+flat work arrays allocated once per fit and viewed at the iteration's
+(alive rows, kept columns) shape. Fresh multi-megabyte temporaries per
+iteration are mapped and faulted in anew whenever the allocator hands
+such sizes to mmap: on a 2-core host the n=1000, m=100 fit then took
+3.5 s and 460k minor faults, against 2.1 s and 13k with the buffers.
 
-Memory: the distance matrix, its sorted copy, the permutation and the
-two masks hold 22 bytes per n * (n + m) cell for the whole fit, and one
-iteration adds up to about 20 more, so a cover peaks near 42 bytes per
-cell: about 44 MiB at n=1000, m=100 (1.1 M cells). Building the distance
-matrix needs its own work buffer of at most 61 MiB (two 4 M float64
-chunks), freed before the loop starts.
+Memory (tracemalloc, n=1000, m=100, d=3): the distance matrix, its
+sorted copy, the permutation and the two masks hold 22 bytes per
+n * (n + m) cell for the whole fit, and the work arrays 19 more. The
+peak, 49 bytes per cell (52 MiB for the 1.1 M cells), comes when a
+gather or a cumulative sum converts its int32 or boolean input: numpy
+makes a transient copy of up to 8 bytes per cell. The distance
+kernel's work arrays add at most 1 MiB while n + m <= 16384.
 """
 
 from __future__ import annotations
@@ -136,28 +143,53 @@ def rw_select(x, H0, H1, n_uncovered: int, d_max: float, weight: float | None = 
 
 
 def _sorted_masks(perm: np.ndarray, sorted_d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Target-column mask and last-of-a-run-of-equal-radii mask, in sorted order."""
-    last = np.ones(sorted_d.shape, dtype=bool)
-    np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=last[:, :-1])
-    return perm < n, last
+    """Target-column mask and not-the-last-of-a-run-of-equal-radii mask,
+    in sorted order."""
+    inner = np.zeros(sorted_d.shape, dtype=bool)
+    np.equal(sorted_d[:, 1:], sorted_d[:, :-1], out=inner[:, :-1])
+    return perm < n, inner
 
 
-def _first_max_walk(live, is_target, last, weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the sorted position of the walk's first maximum over run
-    ends, and that walk value; all three masks are in sorted order, and
-    `live` is overwritten."""
-    count_n = np.cumsum(live, axis=1, dtype=np.int32)
-    live &= is_target
-    count_t = np.cumsum(live, axis=1, dtype=np.int32)
-    count_n -= count_t
-    walk = weight * count_t
-    walk -= count_n
-    # only the last entry of a run of equal radii carries the full count;
-    # a run of dead entries repeats the walk value of the run before it,
-    # so the first max is still the smallest live radius
-    np.copyto(walk, -np.inf, where=~last)
-    best = np.argmax(walk, axis=1)
-    return best, walk[np.arange(len(walk)), best]
+class _WalkBuffers:
+    """Flat work arrays for the walk of every iteration of one fit, sized
+    for the first (largest) one and viewed as (alive rows, kept columns)."""
+
+    def __init__(self, cells: int):
+        self.index = np.empty(cells, dtype=np.int32)  # gathered permutation, then count_t
+        self.count_n = np.empty(cells, dtype=np.int32)
+        self.live = np.empty(cells, dtype=bool)
+        self.is_target = np.empty(cells, dtype=bool)
+        self.inner = np.empty(cells, dtype=bool)
+        self.walk = np.empty(cells, dtype=np.float64)
+
+    def first_max_walk(self, alive, perm, is_target, inner, rows, weight: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per alive row, the sorted position of the walk's first maximum
+        over run ends, and that walk value; `perm`, `is_target` and
+        `inner` are the kept rows in sorted order, `rows` the alive ones."""
+        shape = (len(rows), perm.shape[1])
+        cells = shape[0] * shape[1]
+
+        def view(buf):
+            return buf[:cells].reshape(shape)
+
+        # mode="clip" skips the copy that mode="raise" makes of `out`;
+        # every index is in range
+        index = np.take(perm, rows, axis=0, out=view(self.index), mode="clip")
+        live = np.take(alive, index, out=view(self.live), mode="clip")
+        tgt = np.take(is_target, rows, axis=0, out=view(self.is_target), mode="clip")
+        run = np.take(inner, rows, axis=0, out=view(self.inner), mode="clip")
+        count_n = np.cumsum(live, axis=1, dtype=np.int32, out=view(self.count_n))
+        live &= tgt
+        count_t = np.cumsum(live, axis=1, dtype=np.int32, out=view(self.index))
+        count_n -= count_t
+        walk = np.multiply(weight, count_t, out=view(self.walk))
+        walk -= count_n
+        # only the last entry of a run of equal radii carries the full count;
+        # a run of dead entries repeats the walk value of the run before it,
+        # so the first max is still the smallest live radius
+        np.copyto(walk, -np.inf, where=run)
+        best = np.argmax(walk, axis=1)
+        return best, walk[np.arange(len(walk)), best]
 
 
 def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False) -> ClassCover:
@@ -188,7 +220,8 @@ def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False)
     # sort each row once; between iterations only liveness changes
     perm = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
     sorted_d = np.take_along_axis(dist, perm, axis=1)
-    target_sorted, last = _sorted_masks(perm, sorted_d, n)
+    target_sorted, inner = _sorted_masks(perm, sorted_d, n)
+    buffers = _WalkBuffers(perm.size)
     row_ids = np.arange(n)  # original target index of each kept row
     alive = np.ones(n + m, dtype=bool)  # by original column
     balls: list[CoverBall] = []
@@ -204,14 +237,14 @@ def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False)
             keep = alive[perm]
             perm = perm[keep].reshape(n_alive, -1)
             sorted_d = sorted_d[keep].reshape(n_alive, -1)
-            target_sorted, last = _sorted_masks(perm, sorted_d, n)
+            target_sorted, inner = _sorted_masks(perm, sorted_d, n)
             row_ids = row_ids[rows]
             rows = np.arange(n_alive)
         if fixed_weight:
             weight = m / n if m > 0 else 1.0
         else:
             weight = m_alive / n_alive if m_alive > 0 else 1.0
-        best, walks = _first_max_walk(alive[perm[rows]], target_sorted[rows], last[rows], weight)
+        best, walks = buffers.first_max_walk(alive, perm, target_sorted, inner, rows, weight)
         radii = sorted_d[rows, best]
         idx0 = row_ids[rows]
         dmax0 = d_max[idx0]

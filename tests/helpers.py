@@ -27,6 +27,20 @@ def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
     return draw(n), draw(m)
 
 
+def broadcast_distance_matrix(A, B) -> np.ndarray:
+    """Reference distance kernel: sqrt(((a - b) ** 2).sum(-1)) over the
+    (chunk, m, d) broadcast of the two point sets, rows chunked to 4 M
+    entries; numpy's own sum sets the order of the additions."""
+    a = as_points(A)
+    b = as_points(B)
+    out = np.empty((len(a), len(b)), dtype=np.float64)
+    chunk = max(1, 4_000_000 // (b.shape[0] * b.shape[1] + 1))
+    for i in range(0, len(a), chunk):
+        diff = a[i : i + chunk, None, :] - b[None, :, :]
+        out[i : i + chunk] = np.sqrt((diff * diff).sum(axis=-1))
+    return out
+
+
 def distance_pair(targets, nontargets):
     """The (target-target, target-non-target) distance matrices a pure
     cover is built from."""
@@ -125,6 +139,29 @@ def naive_rw_trace(targets, nontargets, fixed_weight=False, with_alive=False):
         alive_t = [i for i in alive_t if distance(X[best_i], X[i]) > best.radius]
         alive_n = [j for j in alive_n if distance(X[best_i], Y[j]) > best.radius]
     return (trace, alive) if with_alive else trace
+
+
+def argmin_label(minima, class_counts) -> int:
+    """Reference tie-break of one row of per-class minima: the argmin,
+    ties broken toward the larger class, then the lower id."""
+    minima = np.asarray(minima)
+    best = minima.min()
+    candidates = np.flatnonzero(minima == best)
+    return int(min(candidates, key=lambda c: (-class_counts[c], c)))
+
+
+def stable_sort_knn(train_points, train_labels, points, k):
+    """Reference k-NN: the neighbors are the first k of a stable argsort of
+    each query's distances (ties to the lower training index); the vote
+    goes to the most frequent label, then the larger class, then the
+    lower id. Returns (labels, neighbor label matrix)."""
+    labels = np.asarray(train_labels)
+    counts = np.bincount(labels)
+    nearest = np.argsort(broadcast_distance_matrix(points, train_points), axis=1, kind="stable")[:, :k]
+    neighbors = labels[nearest]
+    votes = [np.bincount(row, minlength=len(counts)) for row in neighbors]
+    majority = [min(range(len(counts)), key=lambda c: (-v[c], -counts[c], c)) for v in votes]
+    return np.array(majority), neighbors
 
 
 def brute_force_auc(scores, labels) -> float:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdig import classifier
 from ccdig.classifier import (
     LARGE_GAP,
     SCORE_CLAMP,
@@ -28,7 +29,7 @@ from ccdig.classifier import (
 )
 from ccdig.core import LabeledDataset
 from ccdig.pccd import ClassCover, CoverBall
-from helpers import random_instance
+from helpers import argmin_label, random_instance
 
 
 def ball(center, radius, kind="open", score=None, index=0):
@@ -164,6 +165,64 @@ def test_predict_tie_breaks():
     assert predict(majority, [0.25]).label == 1  # larger class wins
     even = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (3, 3))
     assert predict(even, [0.25]).label == 0  # then lower id
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(1, 3), min_size=k, max_size=k),
+            st.lists(
+                st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf]), min_size=k, max_size=k),
+                min_size=1,
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_vectorised_tie_break_matches_the_scalar_rule(case):
+    # few distinct values and few distinct class sizes force ties,
+    # including rows where every class is infinitely far
+    counts, rows = tuple(case[0]), np.array(case[1])
+    expected = [argmin_label(row, counts) for row in rows]
+    assert classifier._labels(rows, counts).tolist() == expected
+
+
+def _blocking_models():
+    """Pure and random-walk models with zero-radius balls, two and three
+    classes, each with queries that hit ball centers exactly."""
+    X, Y = random_instance(11, dims=(2,), n_range=(30, 40), m_range=(20, 30))
+    X[5] = Y[3]  # a target on a non-target point gets a zero-radius pure ball
+    Z = np.random.default_rng(12).uniform(-1.5, 1.5, (15, 2))
+    two = LabeledDataset(points=np.vstack([X, Y]), labels=np.repeat([0, 1], [len(X), len(Y)]))
+    three = LabeledDataset(points=np.vstack([X, Y, Z]), labels=np.repeat([0, 1, 2], [len(X), len(Y), len(Z)]))
+    rng = np.random.default_rng(13)
+    for data in (two, three):
+        queries = np.vstack([data.points, rng.uniform(-2.0, 2.0, (25, 2))])
+        yield train(data, "pure", tau=0.7), queries
+        yield train(data, "random_walk", e=0.5), queries
+
+
+def test_query_blocks_are_bit_identical_to_one_block(monkeypatch):
+    seen_zero = set()
+    for model, queries in _blocking_models():
+        if any(b.radius == 0 for cover in model.covers for b in cover.balls):
+            seen_zero.add(model.variant)
+        monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 2**40)
+        labels, minima = predict_batch(model, queries)
+        gaps = discriminant_batch(model, queries, 1) if model.n_classes == 2 else None
+        if model.variant == "pure":  # numpy's array power may differ from the scalar one in the last bit
+            for z, row in zip(queries, minima):
+                assert row.tolist() == [min(scaled_dissimilarity(z, b) for b in cover.balls) for cover in model.covers]
+        widest = max(cover.n_balls for cover in model.covers)
+        for rows in (1, 2, 7, len(queries) - 1):
+            monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * widest * rows)
+            got_labels, got_minima = predict_batch(model, queries)
+            assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
+            if gaps is not None:
+                assert np.array_equal(discriminant_batch(model, queries, 1), gaps)
+        assert [predict(model, z).label for z in queries[:10]] == labels[:10].tolist()
+    assert seen_zero == {"pure", "random_walk"}
 
 
 def test_predict_dimension_mismatch():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdig import core
 from ccdig.core import (
     DatasetFormatError,
     LabeledDataset,
@@ -15,6 +16,7 @@ from ccdig.core import (
     parse_feature_csv,
     sample_uniform_box,
 )
+from helpers import broadcast_distance_matrix
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -80,6 +82,23 @@ def test_cross_distance_matrix_matches_scalar_distance_bitwise():
         for i in range(6):
             for j in range(4):
                 assert M[i, j] == distance(A[i], B[j])
+
+
+def test_cross_distance_matrix_is_the_broadcast_sum_bit_for_bit(monkeypatch):
+    # every d up to numpy's pairwise block (128) and past it; if numpy
+    # ever changes the order of its float64 sum this test must fail
+    monkeypatch.setattr(core, "KERNEL_BLOCK", 24)  # blocks of a few rows
+    rng = np.random.default_rng(5)
+    for d in range(1, 131):
+        scale = 10.0 ** rng.uniform(-3, 3, d)  # uneven terms make the order matter
+        A = rng.standard_normal((9, d)) * scale
+        B = rng.standard_normal((7, d)) * scale
+        B[2] = A[4]  # a point in both sets
+        A[6] = A[1]  # a duplicate within one set
+        for a, b in ((A, B), (A[:1], B), (A, B[:1]), (A[:1], B[:1]), (B, A)):
+            got = cross_distance_matrix(a, b)
+            assert np.array_equal(got, broadcast_distance_matrix(a, b)), (d, a.shape, b.shape)
+        assert cross_distance_matrix(A, B)[4, 2] == 0.0
 
 
 def test_cross_distance_matrix_empty_errors():

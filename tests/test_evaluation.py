@@ -1,5 +1,7 @@
 """Tests for AUC, the k-NN baseline, overlap metrics and the harness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from ccdig.evaluation import (
     run_simulation,
     sample_replication,
 )
-from helpers import brute_force_auc, random_instance, trapezoid_roc_auc
+from helpers import brute_force_auc, random_instance, stable_sort_knn, trapezoid_roc_auc
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -157,6 +159,20 @@ def test_knn_batch_matches_single():
             label, frac = knn_predict(ds, q, k)
             assert batch_labels[i] == label
             assert batch_scores[i] == frac
+
+
+def test_knn_matches_a_stable_sort_under_many_distance_ties():
+    # points on a coarse integer grid tie at almost every distance, so the
+    # k-th nearest distance is shared by several points in most rows
+    rng = np.random.default_rng(8)
+    points = rng.integers(0, 4, (40, 2)).astype(np.float64)
+    labels = np.arange(40) % 3
+    ds = LabeledDataset(points=points, labels=labels)
+    queries = np.vstack([points[:10], rng.integers(-1, 5, (30, 2)).astype(np.float64)])
+    for k in (1, 2, 4, 5, 9, 40):
+        expected_labels, neighbors = stable_sort_knn(points, labels, queries, k)
+        np.testing.assert_array_equal(knn_predict_batch(ds, queries, k), expected_labels)
+        np.testing.assert_array_equal(knn_scores(ds, queries, k), (neighbors == 1).mean(axis=1))
 
 
 def test_overlap_alpha_examples():
@@ -345,6 +361,12 @@ def test_classifier_spec_validation():
     with pytest.raises(ValueError):
         ClassifierSpec("svm", 1.0)
     assert ClassifierSpec("knn", 3, label="knn3").name == "knn3"
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_classifier_spec_rejects_non_finite_k(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        ClassifierSpec("knn", k)
 
 
 def test_report_rows_and_table():
