@@ -17,7 +17,7 @@ fixed amount that does not grow with the batch: the 4 MiB block, up to
 two block-sized temporaries when a class has zero-radius balls, and the
 distance kernel's work arrays (at most 1 MiB while b <= 16384). On the
 two-class, d=3, 1408-ball `pure-overlap` model, 50k queries peak at
-9 MB under tracemalloc, against 872 MB with one block per batch.
+9 MB under tracemalloc, against about 870 MB with one block per batch.
 """
 
 from __future__ import annotations
