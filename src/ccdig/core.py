@@ -105,18 +105,18 @@ def cross_distance_matrix(A, B) -> np.ndarray:
         return out
     at, bt = a.T.copy(), b.T.copy()  # one contiguous row per coordinate
     rows = max(1, KERNEL_BLOCK // m)
-    scratch = np.empty((1 if d < 8 else 8, min(rows, n), m), dtype=np.float64)
+    work = np.empty((1 if d < 8 else 8, min(rows, n), m), dtype=np.float64)
     for i in range(0, n, rows):
         block = out[i : i + rows]
-        _sum_squares(at[:, i : i + rows], bt, block, scratch[:, : len(block)])
+        _sum_squares(at[:, i : i + rows], bt, block, work[:, : len(block)])
     return np.sqrt(out, out=out)
 
 
-def _sum_squares(at, bt, out, scratch) -> None:
+def _sum_squares(at, bt, out, work) -> None:
     """out[i, j] = sum over k of (at[k, i] - bt[k, j]) ** 2, added in
     numpy's pairwise order: plain below 8 terms; otherwise 8 interleaved
     accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
-    the d % 8 tail in order. `scratch` holds the term (slot 0) and, from
+    the d % 8 tail in order. `work` holds the term (slot 0) and, from
     8 terms on, accumulators r1..r7 (slots 1-7); out is r0."""
 
     def square(k, dst):
@@ -124,12 +124,12 @@ def _sum_squares(at, bt, out, scratch) -> None:
         np.multiply(dst, dst, out=dst)
 
     d = len(at)
-    term = scratch[0]
+    term = work[0]
     if d < 8:
         square(0, out)
         tail = 1
     else:
-        acc = [out, *scratch[1:]]
+        acc = [out, *work[1:]]
         for j in range(8):
             square(j, acc[j])
         tail = d - d % 8
