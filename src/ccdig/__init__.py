@@ -16,15 +16,12 @@ from .classifier import (
     predict,
     predict_batch,
     save_model,
-    scaled_dissimilarity,
     train,
-    weighted_dissimilarity,
 )
 from .core import (
     LabeledDataset,
     cross_distance_matrix,
     dataset_to_csv,
-    distance,
     parse_dataset,
     sample_uniform_box,
 )
@@ -45,7 +42,7 @@ from .evaluation import (
     run_simulation,
 )
 from .pccd import ClassCover, CoverBall, build_pccd_digraph, greedy_dominating_set, pccd_cover
-from .rwccd import RwBallSelection, RwProfile, rw_cover, rw_profile, rw_radius, rw_score
+from .rwccd import rw_cover
 
 __version__ = "0.1.0"
 
@@ -57,15 +54,12 @@ __all__ = [
     "EvalReport",
     "LabeledDataset",
     "Prediction",
-    "RwBallSelection",
-    "RwProfile",
     "SimulationConfig",
     "auc",
     "build_pccd_digraph",
     "cross_distance_matrix",
     "dataset_to_csv",
     "discriminant",
-    "distance",
     "greedy_dominating_set",
     "knn_predict",
     "knn_predict_batch",
@@ -85,12 +79,7 @@ __all__ = [
     "reduction_stats",
     "run_simulation",
     "rw_cover",
-    "rw_profile",
-    "rw_radius",
-    "rw_score",
     "sample_uniform_box",
     "save_model",
-    "scaled_dissimilarity",
     "train",
-    "weighted_dissimilarity",
 ]

@@ -95,31 +95,6 @@ class Prediction:
     per_class_dissimilarity: tuple[float, ...]
 
 
-def scaled_dissimilarity(z, ball: CoverBall) -> float:
-    """d(z, center) / radius; a zero-radius ball is infinitely far from
-    everything except its own center."""
-    center = ball.center
-    p = as_point(z)
-    if p.shape != center.shape:
-        raise ValueError(f"dimension mismatch: {p.size} vs {center.size}")
-    diff = p - center
-    d = float(np.sqrt((diff * diff).sum(axis=-1)))
-    if ball.radius > 0:
-        return d / ball.radius
-    return 0.0 if d == 0.0 else float("inf")
-
-
-def weighted_dissimilarity(z, ball: CoverBall, e: float) -> float:
-    """Scaled dissimilarity raised to the ball's clamped score to the e."""
-    if ball.score is None:
-        raise ValueError("ball has no score; weighted dissimilarity needs one")
-    e = check_hyper("e", e)
-    rho = scaled_dissimilarity(z, ball)
-    exponent = max(ball.score, SCORE_CLAMP) ** e
-    with np.errstate(over="ignore"):  # huge rho**exponent saturates to inf
-        return float(np.float64(rho) ** np.float64(exponent))
-
-
 def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: float | None = None) -> CccdModel:
     """Fit one cover per class, each against the union of the others."""
     if data.n_classes < 2:
@@ -273,7 +248,8 @@ def _is_number(v) -> bool:
 
 
 def _is_count(v, low: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+    """An integer in [low, 2**63 - 1]; a larger one overflows numpy's int64."""
+    return isinstance(v, int) and not isinstance(v, bool) and low <= v <= sys.maxsize
 
 
 def _check_model_doc(doc) -> None:

@@ -27,6 +27,7 @@ from .classifier import (
 )
 from .core import check_hyper, parse_dataset, parse_feature_csv
 from .evaluation import (
+    CLASSIFIER_KINDS,
     ClassifierSpec,
     SimulationConfig,
     format_report_table,
@@ -70,7 +71,7 @@ def _float_list(raw: str) -> list[float]:
 
 
 def _hyper(key: str, value: float) -> float:
-    """A tau or e flag value, range-checked; a bad value is a usage error."""
+    """A tau, e or k flag value, range-checked; a bad value is a usage error."""
     try:
         return check_hyper(key, value)
     except ValueError as exc:
@@ -166,14 +167,8 @@ def _classifier_specs(args) -> list[ClassifierSpec]:
         kind = _KIND_ALIASES.get(raw.strip().lower())
         if kind is None:
             raise UsageError(f"unknown classifier {raw!r} (choose from pcccd, rwcccd, knn)")
-        if kind == "pcccd":
-            specs.append(ClassifierSpec(kind, _hyper("tau", args.tau)))
-        elif kind == "rwcccd":
-            specs.append(ClassifierSpec(kind, _hyper("e", args.e)))
-        else:
-            if args.k < 1:
-                raise UsageError("k must be a positive integer")
-            specs.append(ClassifierSpec(kind, args.k))
+        key = CLASSIFIER_KINDS[kind]
+        specs.append(ClassifierSpec(kind, _hyper(key, getattr(args, key))))
     if not specs:
         raise UsageError("at least one classifier is required")
     return specs
@@ -201,15 +196,10 @@ def cmd_pilot(args) -> int:
     grid = _float_list(args.grid)
     if not grid:
         raise UsageError("the parameter grid must be non-empty")
-    family = _KIND_ALIASES.get(args.family)
-    if family == "pcccd":
-        # the conventional grid writes machine epsilon as 0
-        grid = [EPSILON_TAU if v == 0.0 else _hyper("tau", v) for v in grid]
-    elif family == "rwcccd":
-        grid = [_hyper("e", v) for v in grid]
-    else:
-        if not all(v.is_integer() and v >= 1 for v in grid):
-            raise UsageError("every k in the grid must be a positive integer")
+    family = _KIND_ALIASES[args.family]
+    key = CLASSIFIER_KINDS[family]
+    # the conventional tau grid writes machine epsilon as 0
+    grid = [EPSILON_TAU if key == "tau" and v == 0.0 else _hyper(key, v) for v in grid]
     kwargs = dict(
         setting=args.setting,
         d=args.d,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,29 +57,21 @@ def as_points(ps) -> np.ndarray:
 
 
 def check_hyper(key: str, value) -> float:
-    """The one range check of the cover hyperparameters: tau in (0,1] for
-    pure covers, e in [0,1] for random-walk scores. Returns the value as
-    a float."""
+    """The one range check of the hyperparameters: tau in (0,1] for pure
+    covers, e in [0,1] for random-walk scores, k a positive integer for
+    k-NN. Returns the value as a float."""
     value = float(value)
     if key == "tau" and not 0.0 < value <= 1.0:
         raise ValueError("tau must be in (0,1]")
     if key == "e" and not 0.0 <= value <= 1.0:
         raise ValueError("e must be in [0,1]")
+    if key == "k" and not (value >= 1 and value.is_integer()):  # inf and nan fail too
+        raise ValueError("k must be a positive integer")
     return value
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    pa = as_point(a)
-    pb = as_point(b)
-    if pa.shape != pb.shape:
-        raise ValueError(f"dimension mismatch: {pa.size} vs {pb.size}")
-    diff = pa - pb
-    return float(np.sqrt((diff * diff).sum(axis=-1)))
-
-
 def cross_distance_matrix(A, B) -> np.ndarray:
-    """All pairwise Euclidean distances, entry (i, j) = distance(A[i], B[j]).
+    """All pairwise Euclidean distances, entry (i, j) = |A[i] - B[j]|.
 
     Each entry is bit-identical to sqrt(((A[i] - B[j]) ** 2).sum()). Up
     to PAIRWISE_MAX coordinates the squared differences are summed
@@ -228,6 +221,54 @@ class LabeledDataset:
         return self.points[self.labels == class_id]
 
 
+def _read_rows(text, label_columns: int) -> tuple[list[str], np.ndarray, list[list[str]]]:
+    """The one CSV row reader: a header row, then data rows whose leading
+    columns are finite numbers and whose last `label_columns` are kept as
+    text. Returns the header, the (rows, features) float64 matrix and
+    the raw rows. Row numbers in error messages are 1-based and count the
+    header."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DatasetFormatError(f"row {reader.line_num}: {exc}") from None
+    if len(rows) < 2:
+        raise DatasetFormatError("row 2: expected a header row and at least one data row")
+    header, data = rows[0], rows[1:]
+    features = len(header) - label_columns
+    if features < 1:
+        and_label = " and a label column" if label_columns else ""
+        raise DatasetFormatError(f"row 1: need at least one feature column{and_label}")
+    ncols = len(header)
+    try:  # ragged rows are left out here and counted below
+        points = np.array(
+            [[float(c) for c in row[:features]] for row in data if len(row) == ncols], dtype=np.float64
+        )
+    except ValueError:
+        points = None
+    if points is None or len(points) != len(data) or not np.isfinite(points).all():
+        raise _first_fault(header, data, features)
+    return header, points, data
+
+
+def _first_fault(header: list[str], data: list[list[str]], features: int) -> DatasetFormatError:
+    """The error of the first data row that is ragged or holds a
+    non-numeric or non-finite feature; `_read_rows` found one."""
+    for rownum, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            return DatasetFormatError(f"row {rownum}: expected {len(header)} columns, got {len(row)}")
+        for cell, column in zip(row[:features], header):
+            try:
+                value = float(cell)
+            except ValueError:
+                return DatasetFormatError(f"row {rownum}: non-numeric feature value {cell!r} in column {column!r}")
+            if not math.isfinite(value):
+                return DatasetFormatError(f"row {rownum}: non-finite feature value {cell!r}")
+    raise AssertionError("no faulty row")
+
+
 def parse_dataset(text) -> LabeledDataset:
     """Read a CSV dataset: header row, numeric feature columns, label last.
 
@@ -235,45 +276,14 @@ def parse_dataset(text) -> LabeledDataset:
     strings are preserved in `label_names`. Row numbers in error messages
     are 1-based and count the header.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    buf = io.StringIO(text) if isinstance(text, str) else text
-    rows = list(csv.reader(buf))
-    if len(rows) < 2:
-        raise DatasetFormatError("row 2: expected a header row and at least one data row")
-    header = rows[0]
-    if len(header) < 2:
-        raise DatasetFormatError("row 1: need at least one feature column and a label column")
-    ncols = len(header)
-    points: list[list[float]] = []
-    labels: list[int] = []
-    name_to_id: dict[str, int] = {}
-    names: list[str] = []
-    for i, row in enumerate(rows[1:]):
-        rownum = i + 2
-        if len(row) != ncols:
-            raise DatasetFormatError(f"row {rownum}: expected {ncols} columns, got {len(row)}")
-        coords = []
-        for j, cell in enumerate(row[:-1]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"row {rownum}: non-numeric feature value {cell!r} in column {header[j]!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise DatasetFormatError(f"row {rownum}: non-finite feature value {cell!r}")
-            coords.append(value)
-        label = row[-1]
-        if label not in name_to_id:
-            name_to_id[label] = len(names)
-            names.append(label)
-        points.append(coords)
-        labels.append(name_to_id[label])
+    header, points, rows = _read_rows(text, 1)
+    labels = [row[-1] for row in rows]
+    names = tuple(dict.fromkeys(labels))
+    ids = {name: i for i, name in enumerate(names)}
     return LabeledDataset(
-        points=np.array(points, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        label_names=tuple(names),
+        points=points,
+        labels=np.array([ids[label] for label in labels], dtype=np.int64),
+        label_names=names,
         feature_names=tuple(header[:-1]),
         label_column=header[-1],
     )
@@ -292,24 +302,5 @@ def dataset_to_csv(ds: LabeledDataset) -> str:
 
 def parse_feature_csv(text) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a label-free CSV of numeric features (header required)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    buf = io.StringIO(text) if isinstance(text, str) else text
-    rows = list(csv.reader(buf))
-    if len(rows) < 2:
-        raise DatasetFormatError("row 2: expected a header row and at least one data row")
-    header = rows[0]
-    ncols = len(header)
-    points = []
-    for i, row in enumerate(rows[1:]):
-        rownum = i + 2
-        if len(row) != ncols:
-            raise DatasetFormatError(f"row {rownum}: expected {ncols} columns, got {len(row)}")
-        try:
-            coords = [float(cell) for cell in row]
-        except ValueError:
-            raise DatasetFormatError(f"row {rownum}: non-numeric feature value") from None
-        if not all(np.isfinite(c) for c in coords):
-            raise DatasetFormatError(f"row {rownum}: non-finite feature value")
-        points.append(coords)
-    return np.array(points, dtype=np.float64), tuple(header)
+    header, points, _ = _read_rows(text, 0)
+    return points, tuple(header)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import classifier
 from .classifier import (
     VARIANT_PURE,
     VARIANT_RW,
@@ -36,7 +37,8 @@ from .classifier import (
 from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
-CLASSIFIER_KINDS = ("pcccd", "rwcccd", "knn")
+# classifier kind -> the one hyperparameter it takes
+CLASSIFIER_KINDS = {"pcccd": "tau", "rwcccd": "e", "knn": "k"}
 SCORE_MODES = ("label", "continuous")
 
 
@@ -82,20 +84,29 @@ def _majority_labels(neighbors: np.ndarray, counts, n_classes: int) -> np.ndarra
 def _knn_neighbor_labels(train_data: LabeledDataset, points, k: int) -> np.ndarray:
     """Labels of the k nearest training points of each query, in training
     order; among points at the k-th smallest distance the lowest indices
-    are taken, the same set a stable sort of the distances would give."""
+    are taken, the same set a stable sort of the distances would give.
+
+    Queries run in row blocks of classifier.QUERY_BLOCK_BYTES // (8 * n)
+    rows, n the training size; a block's distances and their partitioned
+    copy, masks and tie counts take about 34 bytes per query-point pair.
+    """
     if not 1 <= k <= train_data.n:
         raise ValueError(f"k must be in [1, {train_data.n}]")
     pts = as_points(points)
     if pts.shape[1] != train_data.dim:
         raise ValueError("dimension mismatch between query and training data")
-    dist = cross_distance_matrix(pts, train_data.points)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    chosen = dist < kth
-    at_kth = dist == kth
-    # how many of the points tied at the k-th distance still fit
-    room = k - np.count_nonzero(chosen, axis=1)
-    chosen |= at_kth & (np.cumsum(at_kth, axis=1) <= room[:, None])
-    return train_data.labels[np.nonzero(chosen)[1].reshape(len(pts), k)]
+    out = np.empty((len(pts), k), dtype=train_data.labels.dtype)
+    rows = max(1, classifier.QUERY_BLOCK_BYTES // (8 * train_data.n))
+    for i in range(0, len(pts), rows):
+        dist = cross_distance_matrix(pts[i : i + rows], train_data.points)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        chosen = dist < kth
+        at_kth = dist == kth
+        # how many of the points tied at the k-th distance still fit
+        room = k - np.count_nonzero(chosen, axis=1)
+        chosen |= at_kth & (np.cumsum(at_kth, axis=1) <= room[:, None])
+        out[i : i + rows] = train_data.labels[np.nonzero(chosen)[1].reshape(len(dist), k)]
+    return out
 
 
 def knn_predict(train_data: LabeledDataset, z, k: int, positive: int = 1) -> tuple[int, float]:
@@ -262,14 +273,7 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.kind == "pcccd":
-            check_hyper("tau", self.param)
-        if self.kind == "rwcccd":
-            check_hyper("e", self.param)
-        if self.kind == "knn":
-            # inf and nan must fail here, not in int()
-            if not (math.isfinite(self.param) and self.param >= 1 and self.param == int(self.param)):
-                raise ValueError("k must be a positive integer")
+        check_hyper(CLASSIFIER_KINDS[self.kind], self.param)
 
     @property
     def name(self) -> str:

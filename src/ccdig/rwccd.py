@@ -45,101 +45,10 @@ kernel's work arrays add at most 1 MiB while n + m <= 16384.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import as_point, as_points, cross_distance_matrix
+from .core import as_points, cross_distance_matrix
 from .pccd import ClassCover, CoverBall
-
-
-@dataclass(frozen=True, eq=False)
-class RwProfile:
-    """Walk values over the sorted set of candidate radii for one center."""
-
-    candidate_radii: np.ndarray
-    walk_values: np.ndarray
-
-    def __post_init__(self):
-        cand = np.asarray(self.candidate_radii, dtype=np.float64).copy()
-        walk = np.asarray(self.walk_values, dtype=np.float64).copy()
-        if cand.ndim != 1 or cand.shape != walk.shape or len(cand) == 0:
-            raise ValueError("profile needs matching non-empty radius and walk arrays")
-        if np.any(np.diff(cand) <= 0):
-            raise ValueError("candidate radii must be strictly increasing")
-        if cand[0] != 0.0:
-            raise ValueError("candidate radii must include the self-distance 0")
-        cand.flags.writeable = False
-        walk.flags.writeable = False
-        object.__setattr__(self, "candidate_radii", cand)
-        object.__setattr__(self, "walk_values", walk)
-
-
-@dataclass(frozen=True)
-class RwBallSelection:
-    """Chosen radius for one center plus its walk value and score."""
-
-    radius: float
-    walk_value: float
-    score: float
-
-
-def rw_profile(x, H0, H1, weight: float | None = None) -> RwProfile:
-    """Walk values for a center x over all candidate radii.
-
-    x must belong to H0, the uncovered target points; H1 holds the
-    uncovered non-target points and may be empty (then the reweighting
-    factor defaults to 1 and the negative term vanishes). `weight`
-    overrides the |H1|/|H0| factor, for covers that keep the original
-    class-size ratio fixed across iterations.
-    """
-    X0 = as_points(H0)
-    if len(X0) == 0:
-        raise ValueError("the uncovered target set must be non-empty")
-    p = as_point(x)
-    d0 = cross_distance_matrix(p[None, :], X0)[0]
-    if len(H1) > 0:
-        d1 = cross_distance_matrix(p[None, :], as_points(H1))[0]
-    else:
-        d1 = np.empty(0, dtype=np.float64)
-    if d0.min() != 0.0:
-        raise ValueError("x must be a member of the uncovered target set")
-    if weight is None:
-        weight = len(d1) / len(d0) if len(d1) > 0 else 1.0
-    cand = np.unique(np.concatenate([d0, d1]))
-    count_t = np.searchsorted(np.sort(d0), cand, side="right")
-    count_n = np.searchsorted(np.sort(d1), cand, side="right")
-    walk = weight * count_t - count_n
-    return RwProfile(candidate_radii=cand, walk_values=walk)
-
-
-def rw_radius(profile: RwProfile) -> tuple[float, float]:
-    """Radius maximizing the walk (no extra penalty), smallest on ties."""
-    i = int(np.argmax(profile.walk_values))
-    return float(profile.candidate_radii[i]), float(profile.walk_values[i])
-
-
-def rw_score(walk_value: float, radius: float, n_uncovered: int, d_max: float) -> float:
-    """Selection score: walk_value - radius * n_uncovered / (2 * d_max).
-
-    A singleton target class has d_max = 0; the penalty is then defined
-    as 0 to keep the score total. The penalty is evaluated as
-    (radius / d_max) * (n_uncovered / 2) so that the frequent radius ==
-    d_max case yields an exactly scale-free score.
-    """
-    if n_uncovered < 1:
-        raise ValueError("n_uncovered must be at least 1")
-    if d_max < 0:
-        raise ValueError("d_max must be non-negative")
-    if d_max == 0:
-        return float(walk_value)
-    return float(walk_value - (radius / d_max) * (n_uncovered / 2.0))
-
-
-def rw_select(x, H0, H1, n_uncovered: int, d_max: float, weight: float | None = None) -> RwBallSelection:
-    """Radius, walk value, and score for one candidate center."""
-    radius, walk = rw_radius(rw_profile(x, H0, H1, weight))
-    return RwBallSelection(radius=radius, walk_value=walk, score=rw_score(walk, radius, n_uncovered, d_max))
 
 
 def _sorted_masks(perm: np.ndarray, sorted_d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,16 +101,14 @@ class _WalkBuffers:
         return best, walk[np.arange(len(walk)), best]
 
 
-def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False) -> ClassCover:
+def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     """Greedy random-walk ball cover of the target class.
 
     Each iteration recomputes every remaining center's best radius over
     the still-uncovered points (from rows sorted once, see the module
     notes), selects the highest score (lowest original index on ties),
     and removes everything the chosen closed ball covers. d_max is taken
-    over all original targets, once. With `fixed_weight` the reweighting
-    factor stays at the original class-size ratio instead of tracking
-    the uncovered sets.
+    over all original targets, once.
     """
     X = as_points(targets)
     n = len(X)
@@ -240,15 +147,13 @@ def rw_cover(targets, nontargets, class_id: int = 0, fixed_weight: bool = False)
             target_sorted, inner = _sorted_masks(perm, sorted_d, n)
             row_ids = row_ids[rows]
             rows = np.arange(n_alive)
-        if fixed_weight:
-            weight = m / n if m > 0 else 1.0
-        else:
-            weight = m_alive / n_alive if m_alive > 0 else 1.0
+        weight = m_alive / n_alive if m_alive > 0 else 1.0
         best, walks = buffers.first_max_walk(alive, perm, target_sorted, inner, rows, weight)
         radii = sorted_d[rows, best]
         idx0 = row_ids[rows]
         dmax0 = d_max[idx0]
-        # same evaluation order as rw_score, bitwise
+        # the penalty is (r / d_max) * (n_alive / 2), so r == d_max gives an
+        # exactly scale-free score; it is 0 when d_max is 0 (one target)
         ratio = radii / np.where(dmax0 > 0, dmax0, 1.0)
         penalty = np.where(dmax0 > 0, ratio * (n_alive / 2.0), 0.0)
         scores = walks - penalty

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ccdig.core import as_points, cross_distance_matrix, distance
-from ccdig.rwccd import rw_select
+from ccdig.classifier import SCORE_CLAMP
+from ccdig.core import as_point, as_points, check_hyper, cross_distance_matrix
+from ccdig.pccd import CoverBall
 
 
 def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
@@ -25,6 +27,132 @@ def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
         return center + sigma * rng.standard_normal((count, d))
 
     return draw(n), draw(m)
+
+
+def distance(a, b) -> float:
+    """Euclidean distance between two points of equal dimension."""
+    pa = as_point(a)
+    pb = as_point(b)
+    if pa.shape != pb.shape:
+        raise ValueError(f"dimension mismatch: {pa.size} vs {pb.size}")
+    diff = pa - pb
+    return float(np.sqrt((diff * diff).sum(axis=-1)))
+
+
+def scaled_dissimilarity(z, ball: CoverBall) -> float:
+    """d(z, center) / radius; a zero-radius ball is infinitely far from
+    everything except its own center."""
+    center = ball.center
+    p = as_point(z)
+    if p.shape != center.shape:
+        raise ValueError(f"dimension mismatch: {p.size} vs {center.size}")
+    diff = p - center
+    d = float(np.sqrt((diff * diff).sum(axis=-1)))
+    if ball.radius > 0:
+        return d / ball.radius
+    return 0.0 if d == 0.0 else float("inf")
+
+
+def weighted_dissimilarity(z, ball: CoverBall, e: float) -> float:
+    """Scaled dissimilarity raised to the ball's clamped score to the e.
+
+    Not a bit-exact oracle of random-walk predictions: numpy's scalar
+    and array `power` may round differently in the last bit, so at
+    e=0.5 three of 52 class minima of a small two-class model come out
+    one ulp apart from `predict_batch`. Compare with a tolerance."""
+    if ball.score is None:
+        raise ValueError("ball has no score; weighted dissimilarity needs one")
+    e = check_hyper("e", e)
+    rho = scaled_dissimilarity(z, ball)
+    exponent = max(ball.score, SCORE_CLAMP) ** e
+    with np.errstate(over="ignore"):  # huge rho**exponent saturates to inf
+        return float(np.float64(rho) ** np.float64(exponent))
+
+
+@dataclass(frozen=True, eq=False)
+class RwProfile:
+    """Walk values over the sorted set of candidate radii for one center."""
+
+    candidate_radii: np.ndarray
+    walk_values: np.ndarray
+
+    def __post_init__(self):
+        cand = np.asarray(self.candidate_radii, dtype=np.float64).copy()
+        walk = np.asarray(self.walk_values, dtype=np.float64).copy()
+        if cand.ndim != 1 or cand.shape != walk.shape or len(cand) == 0:
+            raise ValueError("profile needs matching non-empty radius and walk arrays")
+        if np.any(np.diff(cand) <= 0):
+            raise ValueError("candidate radii must be strictly increasing")
+        if cand[0] != 0.0:
+            raise ValueError("candidate radii must include the self-distance 0")
+        cand.flags.writeable = False
+        walk.flags.writeable = False
+        object.__setattr__(self, "candidate_radii", cand)
+        object.__setattr__(self, "walk_values", walk)
+
+
+@dataclass(frozen=True)
+class RwBallSelection:
+    """Chosen radius for one center plus its walk value and score."""
+
+    radius: float
+    walk_value: float
+    score: float
+
+
+def rw_profile(x, H0, H1) -> RwProfile:
+    """Walk values for a center x over all candidate radii.
+
+    x must belong to H0, the uncovered target points; H1 holds the
+    uncovered non-target points and may be empty (then the reweighting
+    factor defaults to 1 and the negative term vanishes).
+    """
+    X0 = as_points(H0)
+    if len(X0) == 0:
+        raise ValueError("the uncovered target set must be non-empty")
+    p = as_point(x)
+    d0 = cross_distance_matrix(p[None, :], X0)[0]
+    if len(H1) > 0:
+        d1 = cross_distance_matrix(p[None, :], as_points(H1))[0]
+    else:
+        d1 = np.empty(0, dtype=np.float64)
+    if d0.min() != 0.0:
+        raise ValueError("x must be a member of the uncovered target set")
+    weight = len(d1) / len(d0) if len(d1) > 0 else 1.0
+    cand = np.unique(np.concatenate([d0, d1]))
+    count_t = np.searchsorted(np.sort(d0), cand, side="right")
+    count_n = np.searchsorted(np.sort(d1), cand, side="right")
+    walk = weight * count_t - count_n
+    return RwProfile(candidate_radii=cand, walk_values=walk)
+
+
+def rw_radius(profile: RwProfile) -> tuple[float, float]:
+    """Radius maximizing the walk (no extra penalty), smallest on ties."""
+    i = int(np.argmax(profile.walk_values))
+    return float(profile.candidate_radii[i]), float(profile.walk_values[i])
+
+
+def rw_score(walk_value: float, radius: float, n_uncovered: int, d_max: float) -> float:
+    """Selection score: walk_value - radius * n_uncovered / (2 * d_max).
+
+    A singleton target class has d_max = 0; the penalty is then defined
+    as 0 to keep the score total. The penalty is evaluated as
+    (radius / d_max) * (n_uncovered / 2) so that the frequent radius ==
+    d_max case yields an exactly scale-free score.
+    """
+    if n_uncovered < 1:
+        raise ValueError("n_uncovered must be at least 1")
+    if d_max < 0:
+        raise ValueError("d_max must be non-negative")
+    if d_max == 0:
+        return float(walk_value)
+    return float(walk_value - (radius / d_max) * (n_uncovered / 2.0))
+
+
+def rw_select(x, H0, H1, n_uncovered: int, d_max: float) -> RwBallSelection:
+    """Radius, walk value, and score for one candidate center."""
+    radius, walk = rw_radius(rw_profile(x, H0, H1))
+    return RwBallSelection(radius=radius, walk_value=walk, score=rw_score(walk, radius, n_uncovered, d_max))
 
 
 def broadcast_distance_matrix(A, B) -> np.ndarray:
@@ -82,7 +210,7 @@ def naive_greedy_dominating_set(closed) -> list[int]:
     return selected
 
 
-def brute_force_walk(x, H0, H1, weight=None):
+def brute_force_walk(x, H0, H1):
     """Direct recomputation of the signed reweighted count per candidate radius.
 
     Distances come from the scalar distance op; counts and the weighted
@@ -90,8 +218,7 @@ def brute_force_walk(x, H0, H1, weight=None):
     """
     d0 = [distance(x, z) for z in H0]
     d1 = [distance(x, z) for z in H1]
-    if weight is None:
-        weight = len(d1) / len(d0) if d1 else 1.0
+    weight = len(d1) / len(d0) if d1 else 1.0
     candidates = sorted(set(d0) | set(d1))
     walks = []
     for r in candidates:
@@ -101,9 +228,9 @@ def brute_force_walk(x, H0, H1, weight=None):
     return candidates, walks
 
 
-def naive_rw_trace(targets, nontargets, fixed_weight=False, with_alive=False):
-    """Reference random-walk cover built ball by ball from the public
-    single-center ops; returns [(center_index, radius, score), ...].
+def naive_rw_trace(targets, nontargets, with_alive=False):
+    """Reference random-walk cover built ball by ball from the
+    single-center oracles; returns [(center_index, radius, score), ...].
 
     With `with_alive` it also returns, per selection, the (targets,
     non-targets) index lists still uncovered when that ball was chosen.
@@ -124,15 +251,11 @@ def naive_rw_trace(targets, nontargets, fixed_weight=False, with_alive=False):
         alive.append((alive_t, alive_n))
         H0 = [X[i] for i in alive_t]
         H1 = [Y[j] for j in alive_n]
-        if fixed_weight:
-            weight = m / n if m > 0 else 1.0
-        else:
-            weight = len(H1) / len(H0) if H1 else 1.0
         n_uncovered = len(alive_t)
         best = None
         best_i = None
         for i in alive_t:
-            sel = rw_select(X[i], H0, H1, n_uncovered, d_max[i], weight=weight)
+            sel = rw_select(X[i], H0, H1, n_uncovered, d_max[i])
             if best is None or sel.score > best.score:
                 best, best_i = sel, i
         trace.append((best_i, best.radius, best.score))

@@ -25,8 +25,15 @@ from ccdig.evaluation import (
     run_simulation,
 )
 from ccdig.pccd import build_pccd_digraph, greedy_dominating_set, pccd_cover, pccd_radii
-from ccdig.rwccd import rw_cover, rw_profile
-from helpers import brute_force_auc, brute_force_walk, distance_pair, exact_min_dominating_size, random_instance
+from ccdig.rwccd import rw_cover
+from helpers import (
+    brute_force_auc,
+    brute_force_walk,
+    distance_pair,
+    exact_min_dominating_size,
+    random_instance,
+    rw_profile,
+)
 
 EPS = float(np.finfo(np.float64).eps)
 TAU_GRID = [EPS] + [round(0.1 * i, 1) for i in range(1, 11)]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdig import classifier
@@ -22,14 +22,12 @@ from ccdig.classifier import (
     predict,
     predict_batch,
     save_model,
-    scaled_dissimilarity,
     train,
-    weighted_dissimilarity,
     with_hyper,
 )
 from ccdig.core import LabeledDataset
 from ccdig.pccd import ClassCover, CoverBall
-from helpers import argmin_label, random_instance
+from helpers import argmin_label, random_instance, scaled_dissimilarity, weighted_dissimilarity
 
 
 def ball(center, radius, kind="open", score=None, index=0):
@@ -434,6 +432,7 @@ def _paths(node, prefix=()):
     pick=st.integers(0, 10**6),
     action=st.one_of(st.just("delete"), st.sampled_from(_JUNK)),
 )
+@example(variant="random_walk", pick=176391, action=10**400)  # covers[1].n_train
 def test_mutated_model_json_raises_only_value_error(variant, pick, action):
     doc = json.loads(json.dumps(_VALID_DOCS[variant]))
     paths = list(_paths(doc))[1:]

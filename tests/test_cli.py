@@ -98,6 +98,25 @@ def test_predict_dimension_mismatch(toy_csv, tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_oversized_csv_field_is_data_error(toy_csv, tmp_path, capsys, command):
+    # one field past the csv module's default limit of 131072 characters
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    big = tmp_path / "big.csv"
+    if command == "train":
+        big.write_text(TOY + "\n0,0," + "a" * 131_073 + "\n")
+        argv, row = ["train", "--data", str(big), "--out", str(tmp_path / "m2.json")], 9
+    else:
+        big.write_text("x1,x2\n1,1\n" + "1" * 131_073 + ",1\n")
+        argv, row = ["predict", "--model", str(model), "--data", str(big), "--out", str(tmp_path / "p.csv")], 3
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: row {row}: field larger than field limit")
+    assert not (tmp_path / "m2.json").exists() and not (tmp_path / "p.csv").exists()
+
+
 def _trained_model_doc(toy_csv, tmp_path, variant):
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(toy_csv), "--variant", variant, "--out", str(model)]) == 0
@@ -188,6 +207,7 @@ def test_simulate_invalid_grid_is_usage_error(tmp_path, capsys):
     args3 = simulate_args(tmp_path)
     del args3[args3.index("--q") : args3.index("--q") + 2]
     assert main(args3) == 2
+    assert main(simulate_args(tmp_path) + ["--k", "0"]) == 2
 
 
 def test_simulate_zero_se_target_runs_to_the_cap(tmp_path):

@@ -1,8 +1,10 @@
 """Tests for points, distances, samplers and CSV ingestion."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdig import core
@@ -11,12 +13,11 @@ from ccdig.core import (
     LabeledDataset,
     cross_distance_matrix,
     dataset_to_csv,
-    distance,
     parse_dataset,
     parse_feature_csv,
     sample_uniform_box,
 )
-from helpers import broadcast_distance_matrix
+from helpers import broadcast_distance_matrix, distance
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -51,10 +52,10 @@ def test_distance_rejects_non_finite():
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(points_of_dim(d), points_of_dim(d), points_of_dim(d))))
 def test_metric_axioms(triple):
     a, b, c = triple
-    d_ab = distance(a, b)
-    d_ba = distance(b, a)
-    d_ac = distance(a, c)
-    d_bc = distance(b, c)
+    d_ab = cross_distance_matrix([a], [b])[0, 0]
+    d_ba = cross_distance_matrix([b], [a])[0, 0]
+    d_ac = cross_distance_matrix([a], [c])[0, 0]
+    d_bc = cross_distance_matrix([b], [c])[0, 0]
     assert d_ab >= 0.0
     assert d_ab == d_ba
     assert d_ac <= d_ab + d_bc + 1e-12
@@ -172,6 +173,9 @@ def test_parse_dataset_single_class_is_valid():
 def test_parse_dataset_error_row_number():
     with pytest.raises(DatasetFormatError, match="row 3"):
         parse_dataset("x1,cls\n0,a\nfoo,b")
+    # the first faulty row is reported, whatever its fault
+    with pytest.raises(DatasetFormatError, match="^row 3: non-finite feature value 'inf'$"):
+        parse_dataset("x1,cls\n0,a\ninf,b\nfoo,a\n1\n")
 
 
 def test_parse_dataset_ragged_row():
@@ -251,3 +255,61 @@ def test_parse_feature_csv():
     assert names == ("a", "b")
     with pytest.raises(DatasetFormatError, match="row 3"):
         parse_feature_csv("a\n1\nx")
+    with pytest.raises(DatasetFormatError, match="^row 2: non-numeric feature value 'x' in column 'b'$"):
+        parse_feature_csv("a,b\n1,x")
+
+
+# a field longer than the csv module's default field_size_limit()
+OVERSIZED = "9" * 131_073
+
+_VALID_CSV = {
+    parse_dataset: "x1,x2,cls\n0.5,1,a\n-2,3e-3,b\n4,5,a\n",
+    parse_feature_csv: "x1,x2\n0.5,1\n-2,3e-3\n4,5\n",
+}
+_CSV_JUNK = ("", "x", "nan", "inf", "-inf", "1e999", '"', 'a"b', '"1', ",", "\n", "\r", "\x00", OVERSIZED)
+
+
+def _mutate(text, level, action, pick, junk):
+    """Delete, duplicate or replace one row, or one cell or delimiter."""
+    if level == "row":
+        parts, sep = text.split("\n"), "\n"
+    else:
+        parts, sep = re.split(r"([,\n])", text), ""
+    i = pick % len(parts)
+    if action == "delete":
+        del parts[i]
+    elif action == "duplicate":
+        parts.insert(i, parts[i])
+    else:
+        parts[i] = junk
+    return sep.join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parser=st.sampled_from(list(_VALID_CSV)),
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(["row", "token"]),
+            st.sampled_from(["delete", "duplicate", "replace"]),
+            st.integers(0, 10**6),
+            st.sampled_from(_CSV_JUNK),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(parser=parse_dataset, mutations=[("token", "replace", 6, OVERSIZED)])
+@example(parser=parse_feature_csv, mutations=[("token", "replace", 8, OVERSIZED)])
+@example(parser=parse_dataset, mutations=[("token", "replace", 10, OVERSIZED)])  # the label cell
+@example(parser=parse_feature_csv, mutations=[("token", "replace", 4, '"')])
+def test_mutated_csv_raises_only_dataset_format_error(parser, mutations):
+    text = _VALID_CSV[parser]
+    for mutation in mutations:
+        text = _mutate(text, *mutation)
+    try:
+        result = parser(text)
+    except DatasetFormatError:
+        return
+    points = result.points if parser is parse_dataset else result[0]
+    assert points.ndim == 2 and points.shape[1] >= 1 and np.isfinite(points).all()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdig import classifier
 from ccdig.classifier import train
 from ccdig.core import LabeledDataset
 from ccdig.evaluation import (
@@ -161,7 +162,7 @@ def test_knn_batch_matches_single():
             assert batch_scores[i] == frac
 
 
-def test_knn_matches_a_stable_sort_under_many_distance_ties():
+def test_knn_matches_a_stable_sort_under_many_distance_ties(monkeypatch):
     # points on a coarse integer grid tie at almost every distance, so the
     # k-th nearest distance is shared by several points in most rows
     rng = np.random.default_rng(8)
@@ -171,8 +172,15 @@ def test_knn_matches_a_stable_sort_under_many_distance_ties():
     queries = np.vstack([points[:10], rng.integers(-1, 5, (30, 2)).astype(np.float64)])
     for k in (1, 2, 4, 5, 9, 40):
         expected_labels, neighbors = stable_sort_knn(points, labels, queries, k)
-        np.testing.assert_array_equal(knn_predict_batch(ds, queries, k), expected_labels)
-        np.testing.assert_array_equal(knn_scores(ds, queries, k), (neighbors == 1).mean(axis=1))
+        one_block = knn_predict_batch(ds, queries, k), knn_scores(ds, queries, k)
+        np.testing.assert_array_equal(one_block[0], expected_labels)
+        np.testing.assert_array_equal(one_block[1], (neighbors == 1).mean(axis=1))
+        # query blocks of 1, 2, 7 and n - 1 rows give the same bits
+        for rows in (1, 2, 7, len(queries) - 1):
+            monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * ds.n * rows)
+            assert np.array_equal(knn_predict_batch(ds, queries, k), one_block[0])
+            assert np.array_equal(knn_scores(ds, queries, k), one_block[1])
+        monkeypatch.undo()
 
 
 def test_overlap_alpha_examples():
@@ -363,7 +371,7 @@ def test_classifier_spec_validation():
     assert ClassifierSpec("knn", 3, label="knn3").name == "knn3"
 
 
-@pytest.mark.parametrize("k", [math.inf, math.nan])
+@pytest.mark.parametrize("k", [math.inf, math.nan, 0, 2.5])
 def test_classifier_spec_rejects_non_finite_k(k):
     with pytest.raises(ValueError, match="k must be a positive integer"):
         ClassifierSpec("knn", k)

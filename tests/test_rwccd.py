@@ -6,8 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdig.core import cross_distance_matrix
-from ccdig.rwccd import RwProfile, rw_cover, rw_profile, rw_radius, rw_score, rw_select
-from helpers import brute_force_walk, naive_rw_trace, random_instance
+from ccdig.rwccd import rw_cover
+from helpers import (
+    RwProfile,
+    brute_force_walk,
+    naive_rw_trace,
+    random_instance,
+    rw_profile,
+    rw_radius,
+    rw_score,
+    rw_select,
+)
 
 
 def test_profile_three_targets_one_enemy():
@@ -155,15 +164,6 @@ def test_rw_cover_matches_naive_trace():
         assert [b.score for b in cover.balls] == [t[2] for t in trace]
 
 
-def test_rw_cover_fixed_weight_matches_naive_trace():
-    for seed in range(8):
-        X, Y = random_instance(seed, dims=(1, 2), n_range=(2, 12), m_range=(4, 12))
-        cover = rw_cover(X, Y, fixed_weight=True)
-        trace = naive_rw_trace(X, Y, fixed_weight=True)
-        assert [b.center_index for b in cover.balls] == [t[0] for t in trace]
-        assert [b.radius for b in cover.balls] == [t[1] for t in trace]
-
-
 def test_rw_cover_radius_membership():
     # every emitted radius is an actual distance from its center to a point
     # still uncovered at selection time; the naive trace guarantees the
@@ -214,11 +214,10 @@ def _assert_matches_trace(cover, trace):
 
 
 @settings(max_examples=60, deadline=None)
-@given(inst=lattice_instance(), fixed_weight=st.booleans())
-def test_rw_cover_lattice_ties_match_naive_trace(inst, fixed_weight):
+@given(inst=lattice_instance())
+def test_rw_cover_lattice_ties_match_naive_trace(inst):
     X, Y = inst
-    cover = rw_cover(X, Y, fixed_weight=fixed_weight)
-    _assert_matches_trace(cover, naive_rw_trace(X, Y, fixed_weight=fixed_weight))
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
 
 
 @settings(max_examples=30, deadline=None)
