@@ -1,10 +1,12 @@
 """Cover-based classification: scaled dissimilarity, training, prediction.
 
-A trained model holds one ball cover per class. A query point's
-dissimilarity to a class is the minimum over that class's balls of
-d(z, center) / radius; the random-walk variant sharpens each ball's
-vote by raising it to the power score**e. Prediction is the argmin
-over classes.
+A trained model holds one ball cover per class, a `ClassCover` of
+arrays: open balls for the pure variant, closed balls with scores for
+the random-walk one. A query point's dissimilarity to a class is the
+minimum over that class's balls of d(z, center) / radius; the
+random-walk variant sharpens each ball's vote by raising it to the
+power score**e. Prediction is the argmin over classes. The query path
+and the model JSON read and write the cover's arrays directly.
 
 Memory of the query path (`predict`, `predict_batch`, `discriminant`,
 `discriminant_batch`): queries run in row blocks of
@@ -15,9 +17,10 @@ next class. A batch keeps 8 * n_classes bytes per query for the minima
 and 8 more for its label, beside its own 8 * d; on top of that comes a
 fixed amount that does not grow with the batch: the 4 MiB block, up to
 two block-sized temporaries when a class has zero-radius balls, and the
-distance kernel's work arrays (at most 1 MiB while b <= 16384). On the
-two-class, d=3, 1408-ball `pure-overlap` model, 50k queries peak at
-9 MB under tracemalloc, against about 870 MB with one block per batch.
+distance kernel's work arrays (at most 1 MiB while b <= 16384 and
+d <= 128). On the two-class, d=3, 1408-ball `pure-overlap` model, 50k
+queries peak at 9 MB under tracemalloc, against about 870 MB with one
+block per batch.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix
-from .pccd import ClassCover, CoverBall, pccd_cover
+from .pccd import ClassCover, pccd_cover
 from .rwccd import rw_cover
 
 VARIANT_PURE = "pure"
@@ -71,15 +74,11 @@ class CccdModel:
             raise ValueError("a model needs at least two classes")
         if len(self.label_map) != len(self.covers) or len(self.class_counts) != len(self.covers):
             raise ValueError("covers, label_map and class_counts must align")
-        kind = "open" if self.variant == VARIANT_PURE else "closed"
         for cover in self.covers:
-            for ball in cover.balls:
-                if ball.ball_kind != kind:
-                    raise ValueError(f"{self.variant} model requires {kind} balls")
-                if self.variant == VARIANT_RW and ball.score is None:
-                    raise ValueError("random-walk balls must carry scores")
-                if len(ball.center) != self.dim:
-                    raise ValueError("ball dimension does not match the model")
+            if (cover.scores is not None) != (self.variant == VARIANT_RW):
+                raise ValueError("random-walk covers must carry scores and pure covers none")
+            if cover.centers.shape[1] != self.dim:
+                raise ValueError("ball dimension does not match the model")
         object.__setattr__(self, "covers", tuple(self.covers))
         object.__setattr__(self, "label_map", tuple(self.label_map))
         object.__setattr__(self, "class_counts", tuple(int(c) for c in self.class_counts))
@@ -130,12 +129,11 @@ def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
     out = np.empty((len(points), model.n_classes), dtype=np.float64)
     terms = []
     for cover in model.covers:
-        radii = cover.radii()
+        radii = cover.radii
         exponent = None
         if model.variant == VARIANT_RW:
-            scores = np.array([b.score for b in cover.balls], dtype=np.float64)
-            exponent = np.maximum(scores, SCORE_CLAMP) ** model.hyper["e"]
-        terms.append((cover.centers(), np.where(radii > 0, radii, 1.0), radii <= 0, exponent))
+            exponent = np.maximum(cover.scores, SCORE_CLAMP) ** model.hyper["e"]
+        terms.append((cover.centers, np.where(radii > 0, radii, 1.0), radii <= 0, exponent))
     rows = max(1, QUERY_BLOCK_BYTES // (8 * max(cover.n_balls for cover in model.covers)))
     for i in range(0, len(points), rows):
         for c, (centers, safe, zero, exponent) in enumerate(terms):
@@ -211,23 +209,17 @@ def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndar
 def model_to_dict(model: CccdModel) -> dict:
     covers = []
     for cover, n_train in zip(model.covers, model.class_counts):
-        balls = []
-        for b in cover.balls:
-            entry = {
-                "center": [float(v) for v in b.center],
-                "center_index": int(b.center_index),
-                "radius": float(b.radius),
-            }
-            if b.score is not None:
-                entry["score"] = float(b.score)
-            balls.append(entry)
+        columns = {"center": cover.centers, "center_index": cover.center_index, "radius": cover.radii}
+        if cover.scores is not None:
+            columns["score"] = cover.scores
+        rows = zip(*(arr.tolist() for arr in columns.values()))
         covers.append(
             {
                 "class_id": int(cover.class_id),
-                "is_pure": bool(cover.is_pure),
-                "is_proper": bool(cover.is_proper),
-                "n_train": int(n_train),
-                "balls": balls,
+                "is_pure": cover.is_pure,
+                "is_proper": cover.is_proper,
+                "n_train": n_train,
+                "balls": [dict(zip(columns, row)) for row in rows],
             }
         )
     return {
@@ -304,8 +296,10 @@ def _check_model_doc(doc) -> None:
             need(_is_count(index, 0) and index < n_train, f"{at}.center_index must be in [0, n_train)")
             radius = bd.get("radius")
             need(_is_number(radius) and radius >= 0, f"{at}.radius must be a finite number >= 0")
-            if variant == VARIANT_RW or "score" in bd:
+            if variant == VARIANT_RW:
                 need(_is_number(bd.get("score")), f"{at}.score must be a finite number")
+            else:
+                need("score" not in bd, f"{at} must not carry a score in a pure model")
 
 
 def model_from_dict(doc: dict) -> CccdModel:
@@ -313,36 +307,25 @@ def model_from_dict(doc: dict) -> CccdModel:
     from the schema raises ValueError."""
     _check_model_doc(doc)
     variant = doc["variant"]
-    kind = "open" if variant == VARIANT_PURE else "closed"
-    covers = []
-    counts = []
-    for cd in doc["covers"]:
-        balls = tuple(
-            CoverBall(
-                center=np.array(bd["center"], dtype=np.float64),
-                center_index=int(bd["center_index"]),
-                radius=float(bd["radius"]),
-                ball_kind=kind,
-                score=float(bd["score"]) if "score" in bd else None,
-            )
-            for bd in cd["balls"]
+    covers = tuple(  # ClassCover turns each list into an array in one np.array call
+        ClassCover(
+            class_id=cd["class_id"],
+            centers=[b["center"] for b in cd["balls"]],
+            center_index=[b["center_index"] for b in cd["balls"]],
+            radii=[b["radius"] for b in cd["balls"]],
+            is_pure=cd["is_pure"],
+            is_proper=cd["is_proper"],
+            scores=[b["score"] for b in cd["balls"]] if variant == VARIANT_RW else None,
         )
-        covers.append(
-            ClassCover(
-                class_id=int(cd["class_id"]),
-                balls=balls,
-                is_pure=bool(cd["is_pure"]),
-                is_proper=bool(cd["is_proper"]),
-            )
-        )
-        counts.append(int(cd["n_train"]))
+        for cd in doc["covers"]
+    )
     return CccdModel(
         variant=variant,
-        covers=tuple(covers),
+        covers=covers,
         hyper=dict(doc["hyper"]),
-        dim=int(doc["dim"]),
+        dim=doc["dim"],
         label_map=tuple(doc["label_map"]),
-        class_counts=tuple(counts),
+        class_counts=tuple(cd["n_train"] for cd in doc["covers"]),
     )
 
 

@@ -106,11 +106,11 @@ def cmd_predict(args) -> int:
     if args.scores:
         header += [f"dissim_{name}" for name in model.label_map]
     writer.writerow(header)
-    for i, lab in enumerate(labels):
-        row = [model.label_map[lab]]
-        if args.scores:
-            row += [f"{v:.6g}" for v in minima[i]]
-        writer.writerow(row)
+    names = [model.label_map[lab] for lab in labels.tolist()]
+    if args.scores:
+        writer.writerows([name, *(f"{v:.6g}" for v in row)] for name, row in zip(names, minima.tolist()))
+    else:
+        writer.writerows([name] for name in names)
     if args.out == "-":
         sys.stdout.write(out.getvalue())
     else:

@@ -60,7 +60,10 @@ def check_hyper(key: str, value) -> float:
     """The one range check of the hyperparameters: tau in (0,1] for pure
     covers, e in [0,1] for random-walk scores, k a positive integer for
     k-NN. Returns the value as a float."""
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float is out of every range
+        value = math.inf
     if key == "tau" and not 0.0 < value <= 1.0:
         raise ValueError("tau must be in (0,1]")
     if key == "e" and not 0.0 <= value <= 1.0:
@@ -73,14 +76,14 @@ def check_hyper(key: str, value) -> float:
 def cross_distance_matrix(A, B) -> np.ndarray:
     """All pairwise Euclidean distances, entry (i, j) = |A[i] - B[j]|.
 
-    Each entry is bit-identical to sqrt(((A[i] - B[j]) ** 2).sum()). Up
-    to PAIRWISE_MAX coordinates the squared differences are summed
-    straight into the output, one coordinate at a time and in the order
-    numpy's float64 sum uses, so no (rows, m, d) temporary is built: the
-    work arrays are one block (d < 8) or eight blocks of
-    max(KERNEL_BLOCK, m) float64 entries. Above PAIRWISE_MAX numpy
-    splits each sum pairwise, and the kernel falls back to the broadcast
-    form, row-chunked to 4 M entries per buffer.
+    Each entry is bit-identical to sqrt(((A[i] - B[j]) ** 2).sum()), for
+    every d: the squared differences are summed straight into the
+    output, one coordinate at a time and in the order numpy's float64
+    sum uses, so no (rows, m, d) temporary is built. The work arrays are
+    blocks of max(KERNEL_BLOCK, m) float64 entries: one block (d < 8) or
+    eight, plus a spare block for each open level at which a sum of more
+    than PAIRWISE_MAX terms is split in two (two at d = 257, five at
+    d = 3000).
     """
     a = as_points(A)
     b = as_points(B)
@@ -90,12 +93,6 @@ def cross_distance_matrix(A, B) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     n, m, d = len(a), len(b), a.shape[1]
     out = np.empty((n, m), dtype=np.float64)
-    if d > PAIRWISE_MAX:
-        chunk = max(1, 4_000_000 // (m * d + 1))
-        for i in range(0, n, chunk):
-            diff = a[i : i + chunk, None, :] - b[None, :, :]
-            out[i : i + chunk] = np.sqrt((diff * diff).sum(axis=-1))
-        return out
     at, bt = a.T.copy(), b.T.copy()  # one contiguous row per coordinate
     rows = max(1, KERNEL_BLOCK // m)
     work = np.empty((1 if d < 8 else 8, min(rows, n), m), dtype=np.float64)
@@ -107,33 +104,46 @@ def cross_distance_matrix(A, B) -> np.ndarray:
 
 def _sum_squares(at, bt, out, work) -> None:
     """out[i, j] = sum over k of (at[k, i] - bt[k, j]) ** 2, added in
-    numpy's pairwise order: plain below 8 terms; otherwise 8 interleaved
-    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
-    the d % 8 tail in order. `work` holds the term (slot 0) and, from
-    8 terms on, accumulators r1..r7 (slots 1-7); out is r0."""
+    numpy's pairwise order. Up to PAIRWISE_MAX terms: plain below 8
+    terms; otherwise 8 interleaved accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the d % 8 tail in order.
+    A longer sum is split after half its terms, rounded down to a
+    multiple of 8; each half is summed the same way, the second into a
+    spare block, and the two are added. `work` holds the term (slot 0)
+    and, from 8 terms on, accumulators r1..r7 (slots 1-7; out is r0)."""
 
     def square(k, dst):
         np.subtract(at[k, :, None], bt[k], out=dst)
         np.multiply(dst, dst, out=dst)
 
-    d = len(at)
-    term = work[0]
-    if d < 8:
-        square(0, out)
-        tail = 1
-    else:
-        acc = [out, *work[1:]]
-        for j in range(8):
-            square(j, acc[j])
-        tail = d - d % 8
-        for k in range(8, tail):
+    def pairwise(lo, hi, dst):
+        n = hi - lo
+        if n > PAIRWISE_MAX:
+            mid = lo + n // 2 - n // 2 % 8
+            pairwise(lo, mid, dst)
+            spare = np.empty_like(dst)
+            pairwise(mid, hi, spare)
+            dst += spare
+            return
+        term = work[0]
+        if n < 8:
+            square(lo, dst)
+            tail = lo + 1
+        else:
+            acc = [dst, *work[1:]]
+            for j in range(8):
+                square(lo + j, acc[j])
+            tail = hi - n % 8
+            for k in range(lo + 8, tail):
+                square(k, term)
+                acc[(k - lo) % 8] += term
+            for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+                acc[x] += acc[y]
+        for k in range(tail, hi):
             square(k, term)
-            acc[k % 8] += term
-        for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            acc[x] += acc[y]
-    for k in range(tail, d):
-        square(k, term)
-        out += term
+            dst += term
+
+    pairwise(0, len(at), out)
 
 
 def sample_uniform_box(d: int, low, high, n: int, seed) -> np.ndarray:
@@ -227,13 +237,19 @@ def _read_rows(text, label_columns: int) -> tuple[list[str], np.ndarray, list[li
     text. Returns the header, the (rows, features) float64 matrix and
     the raw rows. Row numbers in error messages are 1-based and count the
     header."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+    reader = None
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
         rows = list(reader)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DatasetFormatError(f"row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # exc.object is the whole input (bytes) or the chunk a text stream
+        # was decoding, which continues the first line not yet read
+        row = (reader.line_num if reader else 0) + 1 + exc.object[: exc.start].count(b"\n")
+        raise DatasetFormatError(f"row {row}: not valid UTF-8 ({exc.reason})") from None
     if len(rows) < 2:
         raise DatasetFormatError("row 2: expected a header row and at least one data row")
     header, data = rows[0], rows[1:]

@@ -18,49 +18,42 @@ i catches point j".
    count of undominated closed neighbours current by subtracting the
    columns each pick dominates, so every column is summed once
    (`greedy_dominating_set`);
-5. the purity and properness flags, checked against the same distances.
+5. the purity and properness flags, checked against the same distances;
+6. the `ClassCover` (the cover of both families) of the selected rows:
+   `X[sel]`, `sel` and `radii[sel]`.
 
 Memory (n = m, d = 3, measured with tracemalloc): the two distance
 matrices hold 16 bytes per n * n cell for the whole cover, `pccd_radii`
 briefly adds 9 more and the catch matrix 1, and the peak is 25 bytes
 per cell at every n from 200 to 1600 (61 MiB at n = 1600). The distance
-kernel's work arrays add at most 1 MiB while m <= 16384.
+kernel's work arrays add at most 1 MiB while m <= 16384 and d <= 128.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import as_points, check_hyper, cross_distance_matrix
 
 
-@dataclass(frozen=True, eq=False)
-class CoverBall:
-    """One covering ball: center point, radius, and (for random-walk
-    covers) the selection score of the ball."""
+class CoverBall(NamedTuple):
+    """One ball of a cover, as read from `ClassCover.balls`."""
 
     center: np.ndarray
     center_index: int
     radius: float
-    ball_kind: str  # "open" or "closed"
-    score: float | None = None
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64).copy()
-        center.flags.writeable = False
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
-        if self.ball_kind not in ("open", "closed"):
-            raise ValueError(f"unknown ball kind {self.ball_kind!r}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
+    score: float | None
 
 
 @dataclass(frozen=True, eq=False)
 class ClassCover:
-    """All covering balls selected for one class, with honesty flags.
+    """The balls selected for one class, as read-only arrays, with
+    honesty flags. Ball i is centered at `centers[i]`, target point
+    `center_index[i]`, with radius `radii[i]` and, in a random-walk
+    cover, score `scores[i]` (None for a pure cover).
 
     `is_pure`: no non-target training point lies inside any ball
     (strictly inside for open balls, inside-or-on for closed ones).
@@ -69,22 +62,39 @@ class ClassCover:
     """
 
     class_id: int
-    balls: tuple[CoverBall, ...]
+    centers: np.ndarray  # (k, d)
+    center_index: np.ndarray  # (k,)
+    radii: np.ndarray  # (k,)
     is_pure: bool
     is_proper: bool
+    scores: np.ndarray | None = None  # (k,)
 
     def __post_init__(self):
-        object.__setattr__(self, "balls", tuple(self.balls))
+        names = ("centers", "center_index", "radii") + (() if self.scores is None else ("scores",))
+        for name in names:
+            arr = np.array(getattr(self, name), dtype=np.int64 if name == "center_index" else np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "is_pure", bool(self.is_pure))
+        object.__setattr__(self, "is_proper", bool(self.is_proper))
+        k = self.radii.size
+        per_ball = [getattr(self, name).shape for name in names[1:]]
+        if k == 0 or self.centers.ndim != 2 or len(self.centers) != k or per_ball != [(k,)] * len(per_ball):
+            raise ValueError("a cover needs k >= 1 balls: (k, d) centers and k indices, radii (and scores)")
+        if not all(np.isfinite(getattr(self, name)).all() for name in names):
+            raise ValueError("ball centers, radii and scores must be finite")
+        if np.any(self.radii < 0):
+            raise ValueError("radii must be non-negative")
 
     @property
     def n_balls(self) -> int:
-        return len(self.balls)
+        return len(self.radii)
 
-    def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls], dtype=np.float64)
-
-    def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls], dtype=np.float64)
+    @property
+    def balls(self) -> tuple[CoverBall, ...]:
+        """A per-ball view of the arrays, built anew on each read."""
+        scores = [None] * self.n_balls if self.scores is None else self.scores.tolist()
+        return tuple(map(CoverBall, self.centers, self.center_index.tolist(), self.radii.tolist(), scores))
 
 
 def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
@@ -162,16 +172,12 @@ def pccd_cover(targets, nontargets, tau: float, class_id: int = 0) -> ClassCover
     dist_t = cross_distance_matrix(X, X)
     dist_n = cross_distance_matrix(X, Y)
     radii = pccd_radii(dist_t, dist_n, tau)
-    centers = greedy_dominating_set(build_pccd_digraph(dist_t, radii))
-    balls = tuple(
-        CoverBall(center=X[i], center_index=i, radius=float(radii[i]), ball_kind="open")
-        for i in centers
-    )
-    sel = np.array(centers, dtype=np.int64)
+    sel = np.array(greedy_dominating_set(build_pccd_digraph(dist_t, radii)), dtype=np.int64)
     r_sel = radii[sel]
     is_pure = not np.any(dist_n[sel] < r_sel[:, None])
     covered = np.zeros(len(X), dtype=bool)
     covered[sel] = True  # a dominating-set member covers itself
     covered |= np.any(dist_t[sel] < r_sel[:, None], axis=0)
-    is_proper = bool(covered.all())
-    return ClassCover(class_id=class_id, balls=balls, is_pure=bool(is_pure), is_proper=is_proper)
+    return ClassCover(
+        class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, is_pure=is_pure, is_proper=covered.all()
+    )

@@ -13,7 +13,9 @@ at x, and a length penalty turns the walk value into a selection score
 The cover grows greedily: pick the highest-scoring center, drop every
 point its closed ball covers, recompute, repeat until no target remains.
 Covers may be impure (non-targets swallowed) and improper (zero-radius
-balls cover nothing, not even their own center).
+balls cover nothing, not even their own center). The cover is a
+`pccd.ClassCover` whose arrays hold the centers, radii and scores in
+selection order.
 
 `rw_cover` sorts each row of the (n, n + m) target-to-all distance
 matrix once per fit (stable argsort, int32 permutation) and keeps, in
@@ -40,7 +42,7 @@ n * (n + m) cell for the whole fit, and the work arrays 19 more. The
 peak, 49 bytes per cell (52 MiB for the 1.1 M cells), comes when a
 gather or a cumulative sum converts its int32 or boolean input: numpy
 makes a transient copy of up to 8 bytes per cell. The distance
-kernel's work arrays add at most 1 MiB while n + m <= 16384.
+kernel's work arrays add at most 1 MiB while n + m <= 16384 and d <= 128.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import as_points, cross_distance_matrix
-from .pccd import ClassCover, CoverBall
+from .pccd import ClassCover
 
 
 def _sorted_masks(perm: np.ndarray, sorted_d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +133,7 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     buffers = _WalkBuffers(perm.size)
     row_ids = np.arange(n)  # original target index of each kept row
     alive = np.ones(n + m, dtype=bool)  # by original column
-    balls: list[CoverBall] = []
+    picks: list[tuple[int, float, float]] = []  # (center, radius, score) in selection order
     while True:
         rows = np.flatnonzero(alive[row_ids])
         n_alive = len(rows)
@@ -160,25 +162,15 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
         k = int(np.argmax(scores))  # first max = lowest original index
         center = int(idx0[k])
         r_star = float(radii[k])
-        balls.append(
-            CoverBall(
-                center=X[center],
-                center_index=center,
-                radius=r_star,
-                ball_kind="closed",
-                score=float(scores[k]),
-            )
-        )
+        picks.append((center, r_star, float(scores[k])))
         # the closed ball is a prefix of the center's sorted row
         n_covered = np.searchsorted(sorted_d[rows[k]], r_star, side="right")
         alive[perm[rows[k], :n_covered]] = False
-    sel = np.array([b.center_index for b in balls], dtype=np.int64)
-    r_sel = np.array([b.radius for b in balls], dtype=np.float64)
+    sel, r_sel, s_sel = (np.array(column) for column in zip(*picks))
     is_pure = m == 0 or not np.any(dist[sel][:, n:] <= r_sel[:, None])
-    positive = r_sel > 0
-    if positive.any():
-        covered = np.any(dist[sel[positive], :n] <= r_sel[positive, None], axis=0)
-    else:
-        covered = np.zeros(n, dtype=bool)
-    is_proper = bool(covered.all())
-    return ClassCover(class_id=class_id, balls=tuple(balls), is_pure=bool(is_pure), is_proper=is_proper)
+    # a zero-radius closed ball covers nothing
+    is_proper = np.any((dist[sel, :n] <= r_sel[:, None]) & (r_sel[:, None] > 0), axis=0).all()
+    return ClassCover(
+        class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, scores=s_sel,
+        is_pure=is_pure, is_proper=is_proper,
+    )

@@ -8,7 +8,7 @@ import numpy as np
 
 from ccdig.classifier import SCORE_CLAMP
 from ccdig.core import as_point, as_points, check_hyper, cross_distance_matrix
-from ccdig.pccd import CoverBall
+from ccdig.pccd import ClassCover, CoverBall
 
 
 def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
@@ -27,6 +27,21 @@ def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
         return center + sigma * rng.standard_normal((count, d))
 
     return draw(n), draw(m)
+
+
+def array_cover(class_id, centers, radii, scores=None) -> ClassCover:
+    """A pure and proper cover of one-dimensional or (k, d) `centers`
+    with the given radii (and scores); ball i is centered at target i."""
+    radii = np.asarray(radii, dtype=np.float64)
+    return ClassCover(
+        class_id=class_id,
+        centers=np.asarray(centers, dtype=np.float64).reshape(len(radii), -1),
+        center_index=np.arange(len(radii)),
+        radii=radii,
+        is_pure=True,
+        is_proper=True,
+        scores=scores,
+    )
 
 
 def distance(a, b) -> float:

@@ -71,8 +71,8 @@ def test_criterion_01_purity_and_properness():
             for targets, nontargets in ((X, Y), (Y, X)):
                 cover = pccd_cover(targets, nontargets, tau)
                 assert cover.is_pure and cover.is_proper
-                centers = cover.centers()
-                radii = cover.radii()
+                centers = cover.centers
+                radii = cover.radii
                 enemy = cross_distance_matrix(centers, nontargets)
                 assert not np.any(enemy < radii[:, None]), "purity violation"
                 friendly = cross_distance_matrix(np.asarray(targets, float).reshape(len(targets), -1), centers)
@@ -116,8 +116,8 @@ def test_criterion_04_random_walk_oracle():
                 assert prof.candidate_radii.tolist() == cand
                 assert prof.walk_values.tolist() == walks
             cover = rw_cover(X, Y)
-            dist = cross_distance_matrix(X, cover.centers())
-            assert np.all((dist <= cover.radii()).any(axis=1)), "a target was never removed"
+            dist = cross_distance_matrix(X, cover.centers)
+            assert np.all((dist <= cover.radii).any(axis=1)), "a target was never removed"
 
 
 def test_criterion_05_headline_gap_embedded_d10():

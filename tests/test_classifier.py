@@ -26,18 +26,16 @@ from ccdig.classifier import (
     with_hyper,
 )
 from ccdig.core import LabeledDataset
-from ccdig.pccd import ClassCover, CoverBall
-from helpers import argmin_label, random_instance, scaled_dissimilarity, weighted_dissimilarity
+from helpers import argmin_label, array_cover, random_instance, scaled_dissimilarity, weighted_dissimilarity
 
 
-def ball(center, radius, kind="open", score=None, index=0):
-    return CoverBall(center=np.atleast_1d(np.asarray(center, float)), center_index=index, radius=radius, ball_kind=kind, score=score)
+def ball(center, radius, score=None):
+    return array_cover(0, [center], [radius], None if score is None else [score]).balls[0]
 
 
 def two_ball_model(variant="pure", r_a=2.0, r_b=1.0, score_a=None, score_b=None, e=1.0, counts=(1, 1)):
-    kind = "open" if variant == "pure" else "closed"
-    cover_a = ClassCover(class_id=0, balls=(ball(0.0, r_a, kind, score_a),), is_pure=True, is_proper=True)
-    cover_b = ClassCover(class_id=1, balls=(ball(2.0, r_b, kind, score_b),), is_pure=True, is_proper=True)
+    cover_a = array_cover(0, [0.0], [r_a], None if score_a is None else [score_a])
+    cover_b = array_cover(1, [2.0], [r_b], None if score_b is None else [score_b])
     hyper = {"tau": 0.5} if variant == "pure" else {"e": e}
     return CccdModel(variant=variant, covers=(cover_a, cover_b), hyper=hyper, dim=1,
                      label_map=("a", "b"), class_counts=counts)
@@ -72,17 +70,17 @@ def test_scaled_dissimilarity_dimension_mismatch():
 
 
 def test_weighted_dissimilarity_full_score():
-    b = ball(0.0, 2.0, "closed", score=4.0)
+    b = ball(0.0, 2.0, score=4.0)
     assert weighted_dissimilarity([1.0], b, 1.0) == 0.0625  # 0.5**4
 
 
 def test_weighted_dissimilarity_e_zero_is_raw():
-    b = ball(0.0, 2.0, "closed", score=4.0)
+    b = ball(0.0, 2.0, score=4.0)
     assert weighted_dissimilarity([1.3], b, 0.0) == scaled_dissimilarity([1.3], b)
 
 
 def test_weighted_dissimilarity_clamps_negative_scores():
-    b = ball(0.0, 2.0, "closed", score=-0.5)
+    b = ball(0.0, 2.0, score=-0.5)
     expected = math.exp(SCORE_CLAMP * math.log(0.5))
     assert weighted_dissimilarity([1.0], b, 1.0) == pytest.approx(expected, rel=1e-12)
 
@@ -91,7 +89,7 @@ def test_weighted_dissimilarity_requires_score():
     with pytest.raises(ValueError, match="score"):
         weighted_dissimilarity([1.0], ball(0.0, 2.0), 1.0)
     with pytest.raises(ValueError, match="e must"):
-        weighted_dissimilarity([1.0], ball(0.0, 2.0, "closed", score=1.0), 1.5)
+        weighted_dissimilarity([1.0], ball(0.0, 2.0, score=1.0), 1.5)
 
 
 def test_train_two_class_toy():
@@ -156,9 +154,8 @@ def test_predict_rw_scores_break_co_coverage():
 
 def test_predict_tie_breaks():
     # identical balls for both classes: everything ties
-    kind = "open"
-    cover_a = ClassCover(0, (ball(0.0, 1.0, kind),), True, True)
-    cover_b = ClassCover(1, (ball(0.0, 1.0, kind),), True, True)
+    cover_a = array_cover(0, [0.0], [1.0])
+    cover_b = array_cover(1, [0.0], [1.0])
     majority = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (2, 5))
     assert predict(majority, [0.25]).label == 1  # larger class wins
     even = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (3, 3))
@@ -336,16 +333,15 @@ def test_discriminant_sign_agrees_with_predict():
 
 
 def test_discriminant_sentinels():
-    kind = "open"
-    cover_a = ClassCover(0, (ball(0.0, 0.0, kind),), True, True)  # zero radius: inf away
-    cover_b = ClassCover(1, (ball(2.0, 1.0, kind),), True, True)
+    cover_a = array_cover(0, [0.0], [0.0])  # zero radius: inf away
+    cover_b = array_cover(1, [2.0], [1.0])
     model = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (1, 1))
     assert discriminant(model, [2.0], positive_class=1) == LARGE_GAP
     assert discriminant(model, [2.0], positive_class=0) == -LARGE_GAP
     # both sides infinitely far: defined as 0
     both_zero = CccdModel(
         "pure",
-        (ClassCover(0, (ball(0.0, 0.0, kind),), True, True), ClassCover(1, (ball(2.0, 0.0, kind),), True, True)),
+        (array_cover(0, [0.0], [0.0]), array_cover(1, [2.0], [0.0])),
         {"tau": 1.0},
         1,
         ("a", "b"),
@@ -464,19 +460,28 @@ def test_with_hyper_swaps_exponent():
 
 
 def test_model_validation():
-    kind_ok = ClassCover(0, (ball(0.0, 1.0, "open"),), True, True)
-    kind_bad = ClassCover(1, (ball(1.0, 1.0, "closed"),), True, True)
-    with pytest.raises(ValueError, match="open balls"):
-        CccdModel("pure", (kind_ok, kind_bad), {"tau": 0.5}, 1, ("a", "b"), (1, 1))
+    pure = array_cover(0, [0.0], [1.0])
+    scored = array_cover(1, [1.0], [1.0], scores=[2.0])
+    with pytest.raises(ValueError, match="scores"):
+        CccdModel("pure", (pure, scored), {"tau": 0.5}, 1, ("a", "b"), (1, 1))
     with pytest.raises(ValueError, match="scores"):
         CccdModel(
             "random_walk",
-            (
-                ClassCover(0, (ball(0.0, 1.0, "closed"),), True, True),
-                ClassCover(1, (ball(1.0, 1.0, "closed"),), True, True),
-            ),
+            (array_cover(0, [0.0], [1.0]), array_cover(1, [1.0], [1.0])),
             {"e": 0.5},
             1,
             ("a", "b"),
             (1, 1),
         )
+    with pytest.raises(ValueError, match="scores"):
+        CccdModel("random_walk", (scored, pure), {"e": 0.5}, 1, ("a", "b"), (1, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        CccdModel("pure", (pure, array_cover(1, [[1.0, 2.0]], [1.0])), {"tau": 0.5}, 1, ("a", "b"), (1, 1))
+    assert CccdModel("random_walk", (scored, scored), {"e": 0.5}, 1, ("a", "b"), (1, 1)).n_classes == 2
+
+
+def test_pure_model_json_with_a_score_is_rejected():
+    doc = json.loads(json.dumps(_VALID_DOCS["pure"]))
+    doc["covers"][1]["balls"][0]["score"] = 1.0
+    with pytest.raises(ValueError, match=r"covers\[1\]\.balls\[0\] must not carry a score"):
+        model_from_json(json.dumps(doc))

@@ -117,6 +117,24 @@ def test_oversized_csv_field_is_data_error(toy_csv, tmp_path, capsys, command):
     assert not (tmp_path / "m2.json").exists() and not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_invalid_utf8_csv_is_data_error(toy_csv, tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    bad = tmp_path / "bad.csv"
+    if command == "train":
+        bad.write_bytes(TOY.encode() + b"\n0,0,l\xe9ft\n")
+        argv, row = ["train", "--data", str(bad), "--out", str(tmp_path / "m2.json")], 9
+    else:
+        bad.write_bytes(b"x1,x2\n1,1\n\xff,1\n")
+        argv, row = ["predict", "--model", str(model), "--data", str(bad), "--out", str(tmp_path / "p.csv")], 3
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: row {row}: not valid UTF-8")
+    assert not (tmp_path / "m2.json").exists() and not (tmp_path / "p.csv").exists()
+
+
 def _trained_model_doc(toy_csv, tmp_path, variant):
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(toy_csv), "--variant", variant, "--out", str(model)]) == 0

@@ -1,5 +1,6 @@
 """Tests for points, distances, samplers and CSV ingestion."""
 
+import io
 import re
 
 import numpy as np
@@ -86,11 +87,13 @@ def test_cross_distance_matrix_matches_scalar_distance_bitwise():
 
 
 def test_cross_distance_matrix_is_the_broadcast_sum_bit_for_bit(monkeypatch):
-    # every d up to numpy's pairwise block (128) and past it; if numpy
-    # ever changes the order of its float64 sum this test must fail
+    # every d up to numpy's pairwise block (128) and past it, then sums
+    # numpy splits in two once (256), twice (257), three times (513) and
+    # four times (1500); if numpy ever changes the order of its float64
+    # sum this test must fail
     monkeypatch.setattr(core, "KERNEL_BLOCK", 24)  # blocks of a few rows
     rng = np.random.default_rng(5)
-    for d in range(1, 131):
+    for d in (*range(1, 131), 256, 257, 513, 1500):
         scale = 10.0 ** rng.uniform(-3, 3, d)  # uneven terms make the order matter
         A = rng.standard_normal((9, d)) * scale
         B = rng.standard_normal((7, d)) * scale
@@ -259,6 +262,17 @@ def test_parse_feature_csv():
         parse_feature_csv("a,b\n1,x")
 
 
+def test_invalid_utf8_names_its_row():
+    with pytest.raises(DatasetFormatError, match=r"^row 2: not valid UTF-8 \(invalid start byte\)$"):
+        parse_dataset(b"x,cls\n\xff,a\n")
+    # past the first chunk a text stream decodes: the row is still exact
+    body = b"x\n" + b"1.5\n" * 5000 + b"\xff\n" + b"2\n" * 10
+    with pytest.raises(DatasetFormatError, match="^row 5002: "):
+        parse_feature_csv(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8"))
+    with pytest.raises(DatasetFormatError, match="^row 5002: "):
+        parse_feature_csv(body)
+
+
 # a field longer than the csv module's default field_size_limit()
 OVERSIZED = "9" * 131_073
 
@@ -266,7 +280,8 @@ _VALID_CSV = {
     parse_dataset: "x1,x2,cls\n0.5,1,a\n-2,3e-3,b\n4,5,a\n",
     parse_feature_csv: "x1,x2\n0.5,1\n-2,3e-3\n4,5\n",
 }
-_CSV_JUNK = ("", "x", "nan", "inf", "-inf", "1e999", '"', 'a"b', '"1', ",", "\n", "\r", "\x00", OVERSIZED)
+# "\udcff" encodes to the byte 0xff under surrogateescape: not valid UTF-8
+_CSV_JUNK = ("", "x", "nan", "inf", "-inf", "1e999", '"', 'a"b', '"1', ",", "\n", "\r", "\x00", OVERSIZED, "\udcff")
 
 
 def _mutate(text, level, action, pick, junk):
@@ -298,15 +313,22 @@ def _mutate(text, level, action, pick, junk):
         min_size=1,
         max_size=4,
     ),
+    form=st.sampled_from(["str", "bytes", "stream"]),
 )
-@example(parser=parse_dataset, mutations=[("token", "replace", 6, OVERSIZED)])
-@example(parser=parse_feature_csv, mutations=[("token", "replace", 8, OVERSIZED)])
-@example(parser=parse_dataset, mutations=[("token", "replace", 10, OVERSIZED)])  # the label cell
-@example(parser=parse_feature_csv, mutations=[("token", "replace", 4, '"')])
-def test_mutated_csv_raises_only_dataset_format_error(parser, mutations):
+@example(parser=parse_dataset, mutations=[("token", "replace", 6, OVERSIZED)], form="str")
+@example(parser=parse_feature_csv, mutations=[("token", "replace", 8, OVERSIZED)], form="str")
+@example(parser=parse_dataset, mutations=[("token", "replace", 10, OVERSIZED)], form="str")  # the label cell
+@example(parser=parse_feature_csv, mutations=[("token", "replace", 4, '"')], form="str")
+@example(parser=parse_dataset, mutations=[("token", "replace", 10, "\udcff")], form="bytes")
+@example(parser=parse_feature_csv, mutations=[("token", "replace", 0, "\udcff")], form="stream")
+def test_mutated_csv_raises_only_dataset_format_error(parser, mutations, form):
     text = _VALID_CSV[parser]
     for mutation in mutations:
         text = _mutate(text, *mutation)
+    if form != "str":
+        text = text.encode("utf-8", "surrogateescape")
+    if form == "stream":
+        text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="")
     try:
         result = parser(text)
     except DatasetFormatError:

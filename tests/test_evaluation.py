@@ -371,7 +371,7 @@ def test_classifier_spec_validation():
     assert ClassifierSpec("knn", 3, label="knn3").name == "knn3"
 
 
-@pytest.mark.parametrize("k", [math.inf, math.nan, 0, 2.5])
+@pytest.mark.parametrize("k", [math.inf, math.nan, 0, 2.5, 10**400])
 def test_classifier_spec_rejects_non_finite_k(k):
     with pytest.raises(ValueError, match="k must be a positive integer"):
         ClassifierSpec("knn", k)

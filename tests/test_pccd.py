@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ccdig.core import cross_distance_matrix
 from ccdig.pccd import (
     ClassCover,
-    CoverBall,
     build_pccd_digraph,
     greedy_dominating_set,
     pccd_cover,
@@ -159,7 +158,7 @@ def test_cover_example_tie_break():
     cover = pccd_cover([0.0, 0.1], [1.0], 1.0)
     assert cover.n_balls == 1
     ball = cover.balls[0]
-    assert ball.center_index == 0 and ball.radius == 1.0 and ball.ball_kind == "open"
+    assert ball.center_index == 0 and ball.radius == 1.0 and ball.score is None and cover.scores is None
     assert cover.is_pure and cover.is_proper
 
 
@@ -180,8 +179,8 @@ def test_cover_purity_and_properness_random():
             enemy = cross_distance_matrix(ball.center[None, :], Y)[0]
             assert np.all(enemy >= ball.radius)
         centers = {b.center_index for b in cover.balls}
-        dist = cross_distance_matrix(X, cover.centers())
-        radii = cover.radii()
+        dist = cross_distance_matrix(X, cover.centers)
+        radii = cover.radii
         for i in range(len(X)):
             assert i in centers or np.any(dist[i] < radii)
 
@@ -209,15 +208,51 @@ def test_scale_invariance_of_structure():
             assert greedy_dominating_set(g) == base_sel
 
 
-def test_cover_ball_validation():
-    with pytest.raises(ValueError):
-        CoverBall(center=np.array([0.0]), center_index=0, radius=-1.0, ball_kind="open")
-    with pytest.raises(ValueError):
-        CoverBall(center=np.array([0.0]), center_index=0, radius=1.0, ball_kind="fuzzy")
+def _cover(centers=((0.0,), (1.0,)), center_index=(0, 1), radii=(1.0, 2.0), scores=None):
+    return ClassCover(0, centers, center_index, radii, True, True, scores)
+
+
+def test_class_cover_validation():
+    assert _cover().n_balls == 2 and _cover(scores=[0.5, -1.0]).n_balls == 2
+    with pytest.raises(ValueError, match="non-negative"):
+        _cover(radii=(1.0, -1.0))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            _cover(radii=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            _cover(centers=((0.0,), (bad,)))
+        with pytest.raises(ValueError, match="finite"):
+            _cover(scores=(1.0, bad))
+    for lengths in (
+        {"centers": ((0.0,),)},
+        {"center_index": (0,)},
+        {"radii": (1.0, 2.0, 3.0)},
+        {"scores": (1.0,)},
+        {"centers": (0.0, 1.0)},  # one-dimensional: no (k, d) shape
+        {"radii": ((1.0, 2.0), (3.0, 4.0))},
+        {"center_index": 0, "radii": 1.0, "centers": ((0.0,),)},  # scalars, not (k,) arrays
+    ):
+        with pytest.raises(ValueError, match="k >= 1 balls"):
+            _cover(**lengths)
+    with pytest.raises(ValueError, match="k >= 1 balls"):
+        _cover(centers=np.empty((0, 1)), center_index=(), radii=())
 
 
 def test_class_cover_accessors():
     cover = pccd_cover([0.0, 0.1, 3.0], [1.0], 1.0)
-    assert cover.centers().shape == (cover.n_balls, 1)
-    assert cover.radii().shape == (cover.n_balls,)
+    assert cover.centers.shape == (cover.n_balls, 1)
+    assert cover.radii.shape == (cover.n_balls,)
+    assert cover.center_index.shape == (cover.n_balls,) and cover.scores is None
     assert isinstance(cover, ClassCover)
+    for arr in (cover.centers, cover.center_index, cover.radii):
+        assert not arr.flags.writeable
+    for ball, center, index, radius in zip(cover.balls, cover.centers, cover.center_index, cover.radii):
+        assert np.array_equal(ball.center, center) and ball.center_index == index and ball.radius == radius
+        assert ball.score is None
+
+
+def test_class_cover_copies_its_input():
+    radii = np.array([1.0, 2.0])
+    cover = _cover(radii=radii)
+    radii[0] = 5.0
+    assert cover.radii.tolist() == [1.0, 2.0]

@@ -122,13 +122,13 @@ def test_rw_cover_single_ball_covers_cluster():
     cover = rw_cover([[0.0], [0.1], [0.2]], [[10.0]])
     assert cover.n_balls == 1
     ball = cover.balls[0]
-    assert ball.ball_kind == "closed" and ball.score is not None
+    assert ball.score is not None and cover.scores.tolist() == [ball.score]
     assert ball.radius >= 0.2  # catches all three targets
 
 
 def test_rw_cover_zero_radius_ball_flags_improper():
     cover = rw_cover([[0.0], [1.0], [1.1]], [[0.0], [5.0]])
-    radii = cover.radii()
+    radii = cover.radii
     assert np.any(radii == 0.0)
     assert not cover.is_proper
 
@@ -150,8 +150,8 @@ def test_rw_cover_termination_and_closed_coverage():
         X, Y = random_instance(seed, n_range=(2, 30), m_range=(2, 30))
         cover = rw_cover(X, Y)
         assert 1 <= cover.n_balls <= len(X)
-        dist = cross_distance_matrix(X, cover.centers())
-        assert np.all((dist <= cover.radii()).any(axis=1))  # every target removed
+        dist = cross_distance_matrix(X, cover.centers)
+        assert np.all((dist <= cover.radii).any(axis=1))  # every target removed
 
 
 def test_rw_cover_matches_naive_trace():
@@ -184,7 +184,7 @@ def test_rw_cover_scale_invariance():
         for c in (1e-3, 1e3):
             scaled = rw_cover(c * X, c * Y)
             assert [b.center_index for b in scaled.balls] == [b.center_index for b in base.balls]
-            np.testing.assert_allclose(scaled.radii(), c * base.radii(), rtol=1e-12)
+            np.testing.assert_allclose(scaled.radii, c * base.radii, rtol=1e-12)
             np.testing.assert_allclose(
                 [b.score for b in scaled.balls], [b.score for b in base.balls], rtol=1e-9, atol=1e-12
             )
