@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix
+from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix, write_text_atomic
 from .pccd import ClassCover, pccd_cover
 from .rwccd import rw_cover
 
@@ -340,11 +339,7 @@ def model_from_json(text: str) -> CccdModel:
 
 
 def save_model(model: CccdModel, path) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, model_to_json(model) + "\n")
 
 
 def load_model(path) -> CccdModel:

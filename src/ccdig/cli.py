@@ -1,31 +1,27 @@
 """Command-line front end: train, predict, simulate, pilot.
 
-Exit codes: 0 success, 1 data/runtime error, 2 usage error. Output files
-are written to a temporary path and renamed on success, so failures never
-leave partial output behind.
+Exit codes: 0 success, 1 data/runtime error, 2 usage error. The library
+checks every flag value; `simulate` and `pilot` read no input file, so
+any ValueError raised while they build and run is a bad flag value
+(exit 2). Output files are written to a temporary path and renamed on
+success, so failures never leave partial output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import os
 import sys
 
 import numpy as np
 
 from . import evaluation
-from .classifier import (
-    HYPER_KEY,
-    VARIANT_PURE,
-    VARIANT_RW,
-    load_model,
-    predict_batch,
-    save_model,
-    train,
-)
-from .core import check_hyper, parse_dataset, parse_feature_csv
+from .classifier import HYPER_KEY, load_model, predict_batch, save_model, train
+from .core import check_hyper, parse_dataset, parse_feature_csv, write_text_atomic
 from .evaluation import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -40,10 +36,10 @@ EPSILON_TAU = float(np.finfo(np.float64).eps)
 
 _KIND_ALIASES = {
     "pcccd": "pcccd",
-    "pccd": "pcccd",
     "rwcccd": "rwcccd",
-    "rwccd": "rwcccd",
     "knn": "knn",
+    "pccd": "pcccd",
+    "rwccd": "rwcccd",
 }
 
 
@@ -51,40 +47,32 @@ class UsageError(ValueError):
     """Bad flag values detected after parsing; exits with code 2."""
 
 
-def _default_seed() -> int:
-    env = os.environ.get("CCDIG_SEED")
-    return int(env) if env else 0
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _float_list(raw: str) -> list[float]:
+@contextlib.contextmanager
+def _flag_values():
+    """Report a ValueError raised inside as a bad flag value (exit 2)."""
     try:
-        return [float(v) for v in raw.split(",") if v != ""]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated list of numbers, got {raw!r}") from None
-
-
-def _hyper(key: str, value: float) -> float:
-    """A tau, e or k flag value, range-checked; a bad value is a usage error."""
-    try:
-        return check_hyper(key, value)
+        yield
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _float_list(raw: str) -> list[float]:
+    try:
+        values = [float(v) for v in raw.split(",") if v != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"expected a comma-separated list of numbers, got {raw!r}")
+    return values
+
+
 def cmd_train(args) -> int:
-    variant = VARIANT_PURE if args.variant == "pure" else VARIANT_RW
-    key = HYPER_KEY[variant]
-    value = _hyper(key, args.tau if variant == VARIANT_PURE else args.e)
-    with open(args.data, encoding="utf-8") as fh:
+    key = HYPER_KEY[args.variant]
+    with _flag_values():
+        value = check_hyper(key, getattr(args, key))
+    with open(args.data, encoding="utf-8", newline="") as fh:
         data = parse_dataset(fh)
-    model = train(data, variant, **{key: value})
+    model = train(data, args.variant, **{key: value})
     save_model(model, args.out)
     for cover, name in zip(model.covers, model.label_map):
         print(
@@ -97,7 +85,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    with open(args.data, encoding="utf-8") as fh:
+    with open(args.data, encoding="utf-8", newline="") as fh:
         points, _ = parse_feature_csv(fh)
     labels, minima = predict_batch(model, points)
     out = io.StringIO()
@@ -114,51 +102,30 @@ def cmd_predict(args) -> int:
     if args.out == "-":
         sys.stdout.write(out.getvalue())
     else:
-        _write_text(args.out, out.getvalue())
+        write_text_atomic(args.out, out.getvalue())
         print(f"predictions written to {args.out}")
     return 0
 
 
 def _simulate_configs(args) -> list[SimulationConfig]:
-    qs = _float_list(args.q) if args.q else [None]
-    ms = [int(v) for v in _float_list(args.m)] if args.m else [None]
-    if args.q and args.m:
-        raise UsageError("give exactly one of --q and --m")
-    if not args.q and not args.m:
-        raise UsageError("one of --q or --m is required")
-    if args.setting in ("shifted", "disjoint"):
-        if not args.delta:
-            raise UsageError(f"setting {args.setting!r} requires --delta")
-        variable = [("delta", v) for v in _float_list(args.delta)]
-    elif args.setting == "balanced_overlap":
-        if not args.alpha:
-            raise UsageError("setting 'balanced_overlap' requires --alpha")
-        variable = [("alpha", v) for v in _float_list(args.alpha)]
-    else:
-        if args.delta or args.alpha:
-            raise UsageError("the embedded setting takes neither --delta nor --alpha")
-        variable = [(None, None)]
-    configs = []
-    for key, value in variable:
-        for q, m in [(q, m) for q in qs for m in ms]:
-            kwargs = dict(
-                setting=args.setting,
-                d=args.d,
-                n=args.n,
-                q=q,
-                m=m,
-                test_per_class=args.test_per_class,
-                max_test_reps=args.max_reps,
-                se_target=args.se_target,
-                base_seed=args.seed,
-            )
-            if key:
-                kwargs[key] = value
-            try:
-                configs.append(SimulationConfig(**kwargs))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-    return configs
+    """One config per (delta, alpha, q, m) in the flag lists, shifts outermost."""
+    lists = [[None] if raw is None else _float_list(raw) for raw in (args.delta, args.alpha, args.q, args.m)]
+    return [
+        SimulationConfig(
+            setting=args.setting,
+            d=args.d,
+            n=args.n,
+            q=q,
+            m=m,
+            delta=delta,
+            alpha=alpha,
+            test_per_class=args.test_per_class,
+            max_test_reps=args.max_reps,
+            se_target=args.se_target,
+            base_seed=args.seed,
+        )
+        for delta, alpha, q, m in itertools.product(*lists)
+    ]
 
 
 def _classifier_specs(args) -> list[ClassifierSpec]:
@@ -166,63 +133,50 @@ def _classifier_specs(args) -> list[ClassifierSpec]:
     for raw in args.classifiers.split(","):
         kind = _KIND_ALIASES.get(raw.strip().lower())
         if kind is None:
-            raise UsageError(f"unknown classifier {raw!r} (choose from pcccd, rwcccd, knn)")
-        key = CLASSIFIER_KINDS[kind]
-        specs.append(ClassifierSpec(kind, _hyper(key, getattr(args, key))))
-    if not specs:
-        raise UsageError("at least one classifier is required")
+            raise ValueError(f"unknown classifier {raw!r} (choose from pcccd, rwcccd, knn)")
+        specs.append(ClassifierSpec(kind, getattr(args, CLASSIFIER_KINDS[kind])))
     return specs
 
 
 def cmd_simulate(args) -> int:
-    configs = _simulate_configs(args)
-    specs = _classifier_specs(args)
-    rows = []
-    for config in configs:
-        report = run_simulation(config, specs, threads=args.threads, score_mode=args.score_mode)
-        rows.extend(report_rows(report))
+    with _flag_values():
+        configs = _simulate_configs(args)
+        specs = _classifier_specs(args)
+        rows = []
+        for config in configs:
+            report = run_simulation(config, specs, threads=args.threads, score_mode=args.score_mode)
+            rows.extend(report_rows(report))
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=list(evaluation.REPORT_FIELDS), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     print(format_report_table(rows))
     if args.out:
-        _write_text(args.out, out.getvalue())
+        write_text_atomic(args.out, out.getvalue())
         print(f"report written to {args.out}")
     return 0
 
 
 def cmd_pilot(args) -> int:
-    grid = _float_list(args.grid)
-    if not grid:
-        raise UsageError("the parameter grid must be non-empty")
     family = _KIND_ALIASES[args.family]
-    key = CLASSIFIER_KINDS[family]
-    # the conventional tau grid writes machine epsilon as 0
-    grid = [EPSILON_TAU if key == "tau" and v == 0.0 else _hyper(key, v) for v in grid]
-    kwargs = dict(
-        setting=args.setting,
-        d=args.d,
-        n=args.n,
-        q=args.q,
-        m=None,
-        test_per_class=args.test_per_class,
-        base_seed=args.seed,
-    )
-    if args.delta is not None:
-        kwargs["delta"] = args.delta
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    try:
-        config = SimulationConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    result = pilot_study(config, family, grid, reps=args.reps, score_mode=args.score_mode)
+    with _flag_values():
+        # the conventional tau grid writes machine epsilon as 0
+        grid = [EPSILON_TAU if v == 0.0 and family == "pcccd" else v for v in _float_list(args.grid)]
+        config = SimulationConfig(
+            setting=args.setting,
+            d=args.d,
+            n=args.n,
+            q=args.q,
+            delta=args.delta,
+            alpha=args.alpha,
+            test_per_class=args.test_per_class,
+            base_seed=args.seed,
+        )
+        result = pilot_study(config, family, grid, reps=args.reps, score_mode=args.score_mode)
     print(f"pilot over {result.reps} replications ({family}):")
     for value, count in zip(result.grid, result.counts):
         print(f"  {value:.6g}: {count}")
-    ties = [v for v, c in zip(result.grid, result.counts) if c == max(result.counts)]
-    note = " (mode tie, smallest value reported)" if len(ties) > 1 else ""
+    note = " (mode tie, smallest value reported)" if result.counts.count(max(result.counts)) > 1 else ""
     print(f"selected: {result.selected:.6g}{note}")
     return 0
 
@@ -233,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Class cover catch digraph classifiers and their evaluation harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = os.environ.get("CCDIG_SEED") or "0"  # argparse converts a string default with type=int
 
     p_train = sub.add_parser("train", help="train a model from a CSV dataset")
     p_train.add_argument("--data", required=True, help="CSV with a header; label in the last column")
-    p_train.add_argument("--variant", choices=["pure", "random_walk"], default="pure")
+    p_train.add_argument("--variant", choices=list(HYPER_KEY), default="pure")
     p_train.add_argument("--tau", type=float, default=0.5, help="radius blend in (0,1] (pure variant)")
     p_train.add_argument("--e", type=float, default=1.0, help="score exponent in [0,1] (random-walk variant)")
     p_train.add_argument("--out", required=True, help="output model JSON path")
@@ -266,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--se-target", type=float, default=0.0005, help="stop once every mean-AUC SE is at most this; 0 runs to --max-reps"
     )
     p_sim.add_argument("--max-reps", type=int, default=200)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=seed)
     p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_sim.add_argument(
         "--score-mode",
@@ -284,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pilot.add_argument("--q", type=float, default=1.0)
     p_pilot.add_argument("--delta", type=float)
     p_pilot.add_argument("--alpha", type=float)
-    p_pilot.add_argument("--family", choices=["pcccd", "rwcccd", "knn", "pccd", "rwccd"], required=True)
+    p_pilot.add_argument("--family", choices=list(_KIND_ALIASES), required=True)
     p_pilot.add_argument("--grid", required=True, help="comma list of parameter values (0 means machine epsilon for tau)")
     p_pilot.add_argument("--reps", type=int, default=200)
     p_pilot.add_argument("--test-per-class", type=int, default=100)
-    p_pilot.add_argument("--seed", type=int, default=None)
+    p_pilot.add_argument("--seed", type=int, default=seed)
     p_pilot.add_argument(
         "--score-mode",
         choices=list(evaluation.SCORE_MODES),
@@ -306,8 +261,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -1,4 +1,5 @@
-"""Points, labeled datasets, distance matrices, box samplers, CSV ingestion.
+"""Points, labeled datasets, distance matrices, box samplers, CSV ingestion,
+and the atomic file writer the model and report outputs go through.
 
 Everything downstream works on plain float64 numpy arrays: a point is a
 1-D array of coordinates, a point set is an (n, d) matrix. All containers
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,3 +322,18 @@ def parse_feature_csv(text) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a label-free CSV of numeric features (header required)."""
     header, points, _ = _read_rows(text, 0)
     return points, tuple(header)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path through a temporary file renamed into place; on
+    any failure the temporary file is removed and the error re-raised, so
+    nothing partial is left behind."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise

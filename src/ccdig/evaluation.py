@@ -201,8 +201,10 @@ class SimulationConfig:
             raise ValueError("d and n must be at least 1")
         if (self.m is None) == (self.q is None):
             raise ValueError("give exactly one of m and q")
-        if self.q is not None and self.q <= 0:
-            raise ValueError("q must be positive")
+        if self.q is not None and not 0.0 < self.q * self.n < math.inf:  # nan fails too
+            raise ValueError("q must be positive, with q*n finite")
+        if self.m is not None and self.m % 1 != 0:
+            raise ValueError("m must be an integer")
         if self.resolved_m < 1:
             raise ValueError("the second class must have at least one point")
         needs_delta = self.setting in ("shifted", "disjoint")
@@ -220,13 +222,13 @@ class SimulationConfig:
         if self.delta is not None:
             if self.setting == "shifted" and not 0.0 <= self.delta <= 1.0:
                 raise ValueError("delta must be in [0,1] for the shifted setting")
-            if self.setting == "disjoint" and self.delta < 0.0:
-                raise ValueError("delta must be non-negative for the disjoint setting")
+            if self.setting == "disjoint" and not 0.0 <= self.delta < math.inf:
+                raise ValueError("delta must be non-negative and finite for the disjoint setting")
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be at least 1")
         if self.max_test_reps < 2:
             raise ValueError("max_test_reps must be at least 2")
-        if self.se_target < 0:
+        if not self.se_target >= 0.0:  # nan fails too
             raise ValueError("se_target must be non-negative")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
@@ -264,7 +266,7 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class ClassifierSpec:
     """A classifier entry for the harness: kind plus its one hyperparameter
-    (tau for pcccd, e for rwcccd, k for knn)."""
+    (tau for pcccd, e for rwcccd, k for knn), stored as the checked float."""
 
     kind: str
     param: float
@@ -273,7 +275,7 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        check_hyper(CLASSIFIER_KINDS[self.kind], self.param)
+        object.__setattr__(self, "param", check_hyper(CLASSIFIER_KINDS[self.kind], self.param))
 
     @property
     def name(self) -> str:
@@ -296,7 +298,7 @@ class ClassifierResult:
 
     @property
     def se_auc(self) -> float:
-        return float(np.std(self.aucs, ddof=1) / math.sqrt(self.reps))
+        return _se(self.aucs)
 
     @property
     def mean_prototypes(self) -> float | None:
@@ -384,7 +386,7 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
     return aucs, protos
 
 
-def _se(values: list[float]) -> float:
+def _se(values) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
@@ -475,10 +477,9 @@ def pilot_study(
     and count which values reach the maximum AUC; the winner is the mode
     (the smallest value on mode ties).
     """
-    if family not in CLASSIFIER_KINDS:
-        raise ValueError(f"unknown classifier family {family!r}")
     score_mode = _check_score_mode(score_mode)
-    grid = tuple(float(v) for v in grid)
+    specs = [ClassifierSpec(family, v) for v in grid]  # checks the family and every value
+    grid = tuple(spec.param for spec in specs)
     if not grid:
         raise ValueError("the parameter grid must be non-empty")
     if len(set(grid)) != len(grid):
@@ -496,13 +497,7 @@ def pilot_study(
                 for v in grid
             ]
         else:
-            aucs = [
-                auc(
-                    _score_spec(ClassifierSpec(family, v), train_data, test_points, score_mode)[0],
-                    test_labels,
-                )
-                for v in grid
-            ]
+            aucs = [auc(_score_spec(spec, train_data, test_points, score_mode)[0], test_labels) for spec in specs]
         top = max(aucs)
         counts[[i for i, a in enumerate(aucs) if a == top]] += 1
     return PilotResult(family=family, grid=grid, counts=tuple(int(c) for c in counts), reps=reps)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ccdig.cli import main
+from ccdig.core import parse_dataset
 
 TOY = "x1,x2,cls\n" + "\n".join(
     [f"{x},{y},left" for x, y in [(0, 0), (0.2, 0.1), (0.1, 0.3), (0.3, 0.2)]]
@@ -64,6 +65,31 @@ def test_train_single_class_is_data_error(tmp_path, capsys):
 def test_train_missing_file_is_data_error(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")])
     assert code == 1
+
+
+def test_train_keeps_cr_lf_inside_quoted_labels(tmp_path):
+    data = tmp_path / "quoted.csv"
+    data.write_bytes(b'x,cls\r\n0,"a\r\nb"\r\n1,c\r\n')
+    out = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["label_map"] == list(parse_dataset(data.read_bytes()).label_names)
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_out_directory_is_data_error_leaving_no_temp_file(toy_csv, tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    target = tmp_path / "taken"
+    target.mkdir()
+    if command == "train":
+        argv = ["train", "--data", str(toy_csv), "--out", str(target)]
+    else:
+        argv = ["predict", "--model", str(model), "--data", str(features_csv(tmp_path, [(1, 1)])), "--out", str(target)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
 def test_predict_round_trip_self_consistency(toy_csv, tmp_path):
@@ -226,6 +252,57 @@ def test_simulate_invalid_grid_is_usage_error(tmp_path, capsys):
     del args3[args3.index("--q") : args3.index("--q") + 2]
     assert main(args3) == 2
     assert main(simulate_args(tmp_path) + ["--k", "0"]) == 2
+
+
+def with_flags(args, **flags):
+    """args with each flag's value replaced (appended if absent, dropped if None)."""
+    args = list(args)
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if flag in args:
+            i = args.index(flag)
+            del args[i : i + 2]
+        if value is not None:
+            args += [flag, value]
+    return args
+
+
+PILOT_ARGS = [
+    "pilot", "--setting", "embedded", "--d", "1", "--n", "8", "--q", "1.0",
+    "--family", "pcccd", "--grid", "0.5", "--reps", "2", "--test-per-class", "5",
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, seed_env",
+    [
+        ("simulate", {"q": "inf"}, None),
+        ("simulate", {"q": "nan"}, None),
+        ("simulate", {"seed": None}, "abc"),
+        ("simulate", {"delta": ","}, None),
+        ("simulate", {"q": None, "m": "2.5"}, None),
+        ("simulate", {"n": "10", "q": "1.0", "classifiers": "knn", "k": "50"}, None),
+        ("simulate", {"setting": "disjoint", "delta": "inf"}, None),
+        ("simulate", {"se_target": "nan"}, None),
+        ("pilot", {"reps": "0"}, None),
+        ("pilot", {"grid": "0.5,0.5"}, None),
+    ],
+    ids=[
+        "q-inf", "q-nan", "seed-env", "empty-delta", "fractional-m", "k-over-n",
+        "disjoint-inf", "se-target-nan", "reps-0", "repeated-grid",
+    ],
+)
+def test_bad_flag_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, flags, seed_env):
+    if seed_env is not None:
+        monkeypatch.setenv("CCDIG_SEED", seed_env)
+    base = simulate_args(tmp_path) if command == "simulate" else PILOT_ARGS
+    assert main(with_flags(base, **flags)) == 2  # main returns rather than raising: no traceback
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    if seed_env is None:  # argparse prints its usage lines before the error
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_simulate_zero_se_target_runs_to_the_cap(tmp_path):

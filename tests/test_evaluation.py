@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdig import classifier
+from ccdig import classifier, evaluation
 from ccdig.classifier import train
 from ccdig.core import LabeledDataset
 from ccdig.evaluation import (
@@ -251,6 +251,16 @@ def test_config_validation():
         SimulationConfig(setting="weird", d=2, n=10, m=5)
     with pytest.raises(ValueError, match="q must be"):
         SimulationConfig(setting="embedded", d=2, n=10, q=-1.0)
+    for q in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="q must be"):
+            SimulationConfig(setting="embedded", d=2, n=10, q=q)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        SimulationConfig(setting="embedded", d=2, n=10, m=2.5)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            SimulationConfig(setting="disjoint", d=2, n=10, m=5, delta=delta)
+    with pytest.raises(ValueError, match="se_target"):
+        SimulationConfig(setting="embedded", d=2, n=10, m=5, se_target=math.nan)
 
 
 def test_config_resolves_m_from_q():
@@ -410,7 +420,7 @@ def test_pilot_counts_sum_at_least_reps():
     assert study.selected in (1.0, 3.0, 5.0)
 
 
-def test_pilot_validation():
+def test_pilot_validation(monkeypatch):
     cfg = small_config()
     with pytest.raises(ValueError):
         pilot_study(cfg, "pcccd", [], reps=5)
@@ -420,6 +430,17 @@ def test_pilot_validation():
         pilot_study(cfg, "nope", [0.5], reps=5)
     with pytest.raises(ValueError):
         pilot_study(cfg, "pcccd", [0.5], reps=0)
+
+    # a bad value late in the grid is caught before any replication is drawn
+    def no_sampling(config, rep):
+        raise AssertionError("a replication was drawn")
+
+    monkeypatch.setattr(evaluation, "sample_replication", no_sampling)
+    for family in ("pcccd", "rwcccd"):
+        with pytest.raises(ValueError, match="must be in"):
+            pilot_study(cfg, family, [0.5, 7.0], reps=5)
+    with pytest.raises(ValueError, match="positive integer"):
+        pilot_study(cfg, "knn", [1, 10**400], reps=5)
 
 
 def test_pilot_low_dimension_prefers_small_tau():
