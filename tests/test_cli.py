@@ -406,3 +406,16 @@ def test_pilot_zero_tau_means_epsilon(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["transmogrify"]) == 2
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.16 TiB for an array with shape (400000, 400000)", ""])
+def test_train_out_of_memory_is_one_line(toy_csv, tmp_path, capsys, monkeypatch, message):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("ccdig.cli.train", no_memory)
+    assert main(["train", "--data", str(toy_csv), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert (message or "out of memory") in err
+    assert not (tmp_path / "m.json").exists()

@@ -1,10 +1,14 @@
 """Tests for random-walk covers: walk profiles, radius choice, greedy cover."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdig import rwccd
 from ccdig.core import cross_distance_matrix
 from ccdig.rwccd import rw_cover
 from helpers import (
@@ -213,11 +217,33 @@ def _assert_matches_trace(cover, trace):
     assert [(b.center_index, b.radius, b.score) for b in cover.balls] == trace
 
 
+@contextlib.contextmanager
+def _forced_pruning(pool):
+    """Prune from the second iteration on, whatever the size, with a pool
+    of `pool` rows, so ties, the verify pass and the fallback to a full
+    walk all meet the oracle on small instances."""
+    with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", 0), mock.patch.object(rwccd, "POOL", pool):
+        yield
+
+
+def _assert_pruned_covers_match_trace(X, Y, trace):
+    for pool in (1, 2):
+        with _forced_pruning(pool):
+            _assert_matches_trace(rw_cover(X, Y), trace)
+
+
 @settings(max_examples=60, deadline=None)
 @given(inst=lattice_instance())
 def test_rw_cover_lattice_ties_match_naive_trace(inst):
     X, Y = inst
     _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=lattice_instance())
+def test_rw_cover_lattice_ties_match_naive_trace_when_pruned(inst):
+    X, Y = inst
+    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
 
 
 @settings(max_examples=30, deadline=None)
@@ -226,6 +252,14 @@ def test_rw_cover_lattice_without_nontargets_matches_naive_trace(inst):
     X, _ = inst
     Y = np.empty((0, X.shape[1]))
     _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=lattice_instance())
+def test_rw_cover_lattice_without_nontargets_matches_naive_trace_when_pruned(inst):
+    X, _ = inst
+    Y = np.empty((0, X.shape[1]))
+    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
 
 
 def test_rw_cover_matches_naive_trace_through_repeated_compaction():
@@ -240,3 +274,41 @@ def test_rw_cover_matches_naive_trace_through_repeated_compaction():
             kept, compactions = len(alive_t) + len(alive_n), compactions + 1
     assert compactions >= 2
     _assert_matches_trace(rw_cover(X, Y), trace)
+
+
+def test_rw_cover_matches_naive_trace_through_repeated_compaction_when_pruned():
+    rng = np.random.default_rng(2)
+    X, Y = rng.random((60, 2)), rng.random((40, 2))
+    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+
+
+def test_rw_cover_pruned_tie_at_the_cutoff_matches_naive_trace():
+    # after the first ball, the three points at 0 each score exactly the
+    # ceiling fl(w * n_alive) at radius 0; a one-row pool holds only the
+    # last of them, so the lower-index ties stay candidates only because
+    # the cutoff requires a bound strictly below the pool's score
+    X = np.array([[3.0], [3.0], [0.0], [3.0], [0.0], [0.0]])
+    Y = np.array([[1.0]])
+    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+
+
+def test_rw_cover_pruning_halves_the_walked_cells(monkeypatch):
+    # the shifted-box setting at q = 0.1, the regime where pruning pays
+    rng = np.random.default_rng(0)
+    X, Y = rng.random((600, 3)), 0.1 + rng.random((60, 3))
+    walked = []
+    first_max_walk = rwccd._WalkBuffers.first_max_walk
+
+    def counting(self, alive, perm, is_target, inner, rows, weight):
+        walked.append(len(rows) * perm.shape[1])
+        return first_max_walk(self, alive, perm, is_target, inner, rows, weight)
+
+    monkeypatch.setattr(rwccd._WalkBuffers, "first_max_walk", counting)
+    pruned = rw_cover(X, Y)
+    pruned_cells = sum(walked)
+    walked.clear()
+    monkeypatch.setattr(rwccd, "PRUNE_MIN_CELLS", 2**62)
+    full = rw_cover(X, Y)
+    assert pruned_cells < sum(walked) / 2
+    for name in ("center_index", "radii", "scores"):
+        np.testing.assert_array_equal(getattr(pruned, name), getattr(full, name))
