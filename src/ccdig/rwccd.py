@@ -57,11 +57,16 @@ Pruning engages only where it pays. An iteration with fewer than
 PRUNE_MIN_CELLS (alive rows x kept columns) cells walks every row in
 full, and so does the iteration after one where pruning did not halve
 the cells walked. An iteration whose prefix alone would not halve them
-walks the other rows in full at once. On the n=1000, m=100 class cover
+walks the other rows in full at once. The constant, 2**17, is the
+measured crossover (2-core host, medians of 15-40 fits): at 2**16,
+n=300, m=30 covers gained 20%, but balanced n=m=200 covers lost up to
+5% and an n=200 `simulate` over four class ratios 3%; at 2**17 the
+n=200 fits never prune. On the n=1000, m=100 class cover
 (2-core host) the walked cells fell from 139.9 M to 34.8 M and the
-cover from 2.0 s to 0.75 s. Balanced sets, where the bound rarely cuts,
-stay within a few percent of the full walk (n=m=400: 142 ms against
-142 ms).
+cover from 2.1 s to 0.79 s. Balanced sets, where the bound rarely cuts,
+walk the same cells as before in a few more calls: at n=m=400 the cover
+took 36 walk calls against 25, and 0.139 s against 0.135 s (medians of
+10 fits).
 
 Memory (tracemalloc, n=1000, m=100, d=3): the distance matrix, its
 sorted copy, the permutation and the two masks hold 22 bytes per
@@ -84,10 +89,7 @@ from .pccd import ClassCover
 # 16 and 64 were 7% and 1% slower than 32 on the n=1000, m=100 cover
 POOL = 32
 # iterations with fewer (alive rows x kept columns) cells walk every row
-# in full. Measured crossover (2-core host, median of 15-40 fits): at
-# 2**16, n=300, m=30 covers gained 20% but balanced n=m=200 covers lost
-# up to 5% and a 4-setting n=200 `simulate` 3%; at 2**17 no measured fit
-# was slower than the full walk, and n=200 fits never prune
+# in full; the module notes give the measured crossover
 PRUNE_MIN_CELLS = 2**17
 
 
@@ -176,9 +178,18 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     still-uncovered points (from rows sorted once, see the module notes),
     selects the highest score (lowest original index on ties), and
     removes everything the chosen closed ball covers. d_max is taken over
-    all original targets, once. Rows whose score the length penalty
-    keeps below an exactly scored pool are walked over a prefix only
-    (see the module notes); every pick is the one a full walk makes.
+    all original targets, once.
+
+    Only rows that could change the pick are walked in full. A pool of
+    the previous iteration's POOL best rows, walked in full, sets a floor
+    S. Every walk value is at most fl(w * n_alive), rounding is monotone
+    and the penalty grows with the radius, so fl(w * n_alive) minus the
+    penalty at a sorted column bounds every score from that column on.
+    The other rows are walked up to the first column where every bound
+    is below S, and only those whose prefix score reaches S are walked
+    in full. Iterations under PRUNE_MIN_CELLS cells, and the one after
+    an attempt that did not halve the cells walked, walk every row in
+    full. Every pick, radius and score is the full walk's.
     """
     X = as_points(targets)
     n = len(X)

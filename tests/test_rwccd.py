@@ -1,6 +1,5 @@
 """Tests for random-walk covers: walk profiles, radius choice, greedy cover."""
 
-import contextlib
 from unittest import mock
 
 import numpy as np
@@ -217,18 +216,12 @@ def _assert_matches_trace(cover, trace):
     assert [(b.center_index, b.radius, b.score) for b in cover.balls] == trace
 
 
-@contextlib.contextmanager
-def _forced_pruning(pool):
-    """Prune from the second iteration on, whatever the size, with a pool
-    of `pool` rows, so ties, the verify pass and the fallback to a full
-    walk all meet the oracle on small instances."""
-    with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", 0), mock.patch.object(rwccd, "POOL", pool):
-        yield
-
-
 def _assert_pruned_covers_match_trace(X, Y, trace):
+    """Prune from the second iteration on, whatever the size, with pools
+    of 1 and 2 rows, so ties, the verify pass and the fallback to a full
+    walk all meet the oracle on small instances."""
     for pool in (1, 2):
-        with _forced_pruning(pool):
+        with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", 0), mock.patch.object(rwccd, "POOL", pool):
             _assert_matches_trace(rw_cover(X, Y), trace)
 
 
