@@ -8,19 +8,74 @@ random-walk variant sharpens each ball's vote by raising it to the
 power score**e. Prediction is the argmin over classes. The query path
 and the model JSON read and write the cover's arrays directly.
 
-Memory of the query path (`predict`, `predict_batch`, `discriminant`,
-`discriminant_batch`): queries run in row blocks of
-QUERY_BLOCK_BYTES // (8 * b) rows, b the largest number of balls in one
-class, and each block's distances to one class's balls (8 bytes per
-query-ball pair) are reduced to that class's running minimum before the
-next class. A batch keeps 8 * n_classes bytes per query for the minima
-and 8 more for its label, beside its own 8 * d; on top of that comes a
-fixed amount that does not grow with the batch: the 4 MiB block, up to
-two block-sized temporaries when a class has zero-radius balls, and the
-distance kernel's work arrays (at most 1 MiB while b <= 16384 and
-d <= 128). On the two-class, d=3, 1408-ball `pure-overlap` model, 50k
-queries peak at 9 MB under tracemalloc, against about 870 MB with one
-block per batch.
+The query path (`predict`, `predict_batch`, `discriminant`,
+`discriminant_batch`) works on blocks of at most
+rows = QUERY_BLOCK_BYTES // (8 * b) queries, b the largest number of
+balls in one class. A batch of at most `rows` queries is one block, and
+each class's minimum is taken over the block's distances to all its
+balls; every `simulate` fit and single-point `predict` runs this way. A
+larger batch is split into leaves: a segment of queries is cut at the
+median of its widest coordinate until it has at most `rows` queries
+(Bentley's k-d split), and each leaf's minima are scattered back
+through its query indices.
+
+A query's minimum comes from a ball near it, so a leaf needs only the
+balls that can reach the leaf's best upper bound. For each class, with
+the leaf's bounding box [lo, hi]:
+
+- Lower bound. p_j = clip(c_j, lo, hi) is the box point nearest center
+  c_j, and the bound of ball j is the dissimilarity pipeline (kernel,
+  division by the radius, zero-radius fix-up, power) applied to the
+  kernel's distance between p_j - c_j and the origin. For a query z in
+  the box each coordinate has |fl(p_jk - c_jk)| <= |fl(z_k - c_jk)|,
+  because p_jk lies between c_jk and z_k and rounding is monotone; the
+  kernel squares and adds those terms in the same order for both, and
+  sqrt and the division are monotone too. So the bound's distance and
+  its ratio to the radius never exceed the query's computed ones, with
+  no rounding slack; a zero-radius ball's bound is inf only when its
+  value is inf for every query of the box. Only the power is not monotone as computed: the base
+  is sharpened by the RW exponent max(score, SCORE_CLAMP)**e, which is
+  positive (about m at most for a trained cover, any finite value for
+  a loaded one), and pow is accurate to a few ulps whatever the exponent,
+  so the bound can exceed the query's value by a relative few times
+  2**-53, or by a few subnormal ulps where the result is subnormal.
+- Upper bound. The SEEDS balls with the smallest bounds get their exact
+  values over the leaf; U is the largest over the leaf's queries of the
+  smallest seed value.
+- Keep. Every other ball whose bound is at most U * (1 + SLACK) + tiny
+  gets its exact values too, with SLACK = 2**-20 and tiny the smallest
+  normal double: far above pow's relative error, and tiny above its
+  subnormal one. A ball that attains some query's minimum below its
+  seed minimum has a value < U, hence a bound within the slack, so it
+  is kept; an infinite U keeps every ball. Each query's minimum is the
+  smaller of its seed and kept minima. Every entry comes from the same
+  per-entry kernel and pipeline, and `min` is exact, so the minima are
+  bit-identical to the one-block ones.
+
+On the `pure-overlap` model (1484 balls, 50k d=3 queries in 128 leaves
+of about 390), the kernel returns 4.1 M entries instead of 74.2 M, and
+`_class_minima` takes 0.13 s instead of 0.75 s; on `rw-imbalanced`
+(151 balls, 16 leaves) 2.4 M instead of 7.6 M entries, 0.09 s instead
+of 0.15 s (2-core host, one thread). Classes of a few dozen balls gain
+nothing, because their leaves are few and large (rows grows as b
+shrinks): 10k queries against two 55-ball classes split into two leaves
+that keep 80% of the balls, and take 17 ms instead of 14 ms.
+
+Memory: a block's distances to one class's kept balls (8 bytes per
+query-ball pair, at most QUERY_BLOCK_BYTES) are reduced to that class's
+minimum before the next class. A batch keeps 8 * n_classes bytes per
+query for the minima and 8 more for its label, beside its own 8 * d; a
+split batch also keeps 8 bytes per query for the leaf indices, and
+splitting a segment gathers one coordinate and a partition order of it
+(16 more bytes per query of the segment). On top of that comes a
+fixed amount that does not grow with the batch: the 4 MiB block, the
+leaf's gathered queries (rows * d * 8 bytes, as large as the kernel's
+own transposed copy), a (b, d) bound array and a few length-b vectors
+per leaf and class, up to two block-sized temporaries when a class has
+zero-radius balls, and the distance kernel's work arrays (at most
+1 MiB while b <= 16384 and d <= 128). Under tracemalloc 50k queries
+peak at 6.8 MB on the `pure-overlap` model and 6.5 MB on the
+`rw-imbalanced` one, against about 870 MB with one block per batch.
 """
 
 from __future__ import annotations
@@ -50,6 +105,14 @@ MODEL_FORMAT_VERSION = 1
 
 # bytes of distances one query block may hold against one class's balls
 QUERY_BLOCK_BYTES = 4 * 2**20
+
+# balls of least lower bound whose exact dissimilarities set a query
+# leaf's upper bound; a class with at most this many balls is not pruned
+SEEDS = 16
+
+# relative slack of the pruning test; it covers pow's rounding, a few
+# ulps (see the module notes)
+SLACK = 2.0**-20
 
 # the one hyperparameter each variant needs
 HYPER_KEY = {VARIANT_PURE: "tau", VARIANT_RW: "e"}
@@ -123,8 +186,8 @@ def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: fl
 
 
 def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
-    """(n_points, n_classes) matrix of per-class minimum dissimilarities,
-    computed block by block; see the module notes on memory."""
+    """(n_points, n_classes) matrix of per-class minimum dissimilarities;
+    see the module notes on the query leaves, the bound and memory."""
     out = np.empty((len(points), model.n_classes), dtype=np.float64)
     terms = []
     for cover in model.covers:
@@ -134,17 +197,73 @@ def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
             exponent = np.maximum(cover.scores, SCORE_CLAMP) ** model.hyper["e"]
         terms.append((cover.centers, np.where(radii > 0, radii, 1.0), radii <= 0, exponent))
     rows = max(1, QUERY_BLOCK_BYTES // (8 * max(cover.n_balls for cover in model.covers)))
-    for i in range(0, len(points), rows):
-        for c, (centers, safe, zero, exponent) in enumerate(terms):
-            rho = cross_distance_matrix(points[i : i + rows], centers)
-            rho /= safe  # a zero-radius column keeps its distance (safe radius 1)
-            if zero.any():
-                rho[:, zero] = np.where(rho[:, zero] == 0.0, 0.0, np.inf)
-            if exponent is not None:
-                with np.errstate(over="ignore"):  # huge rho**exponent saturates to inf
-                    rho **= exponent
-            out[i : i + rows, c] = rho.min(axis=1)
+    if len(points) <= rows:
+        if len(points):
+            for c, term in enumerate(terms):
+                out[:, c] = _dissimilarities(points, *term).min(axis=1)
+        return out
+    for leaf in _leaves(points, rows):
+        block = points[leaf]
+        lo, hi = block.min(axis=0), block.max(axis=0)
+        for c, term in enumerate(terms):
+            out[leaf, c] = _leaf_minima(block, lo, hi, term)
     return out
+
+
+def _dissimilarities(points, centers, safe, zero, exponent) -> np.ndarray:
+    """(len(points), len(centers)) matrix of scaled dissimilarities."""
+    return _scale(cross_distance_matrix(points, centers), safe, zero, exponent)
+
+
+def _scale(rho, safe, zero, exponent) -> np.ndarray:
+    """Turn distances to the balls of the columns into dissimilarities, in place."""
+    rho /= safe  # a zero-radius column keeps its distance (safe radius 1)
+    if zero.any():
+        rho[:, zero] = np.where(rho[:, zero] == 0.0, 0.0, np.inf)
+    if exponent is not None:
+        with np.errstate(over="ignore"):  # huge rho**exponent saturates to inf
+            rho **= exponent
+    return rho
+
+
+def _leaves(points: np.ndarray, rows: int):
+    """Index arrays of at most `rows` points each that partition the
+    batch: a segment is split at the median of its widest coordinate
+    until it fits. The segments are slices of one permutation."""
+    perm = np.arange(len(points))
+    stack = [(0, len(points))]
+    while stack:
+        start, stop = stack.pop()
+        seg = perm[start:stop]
+        if stop - start <= rows:
+            yield seg
+            continue
+        spread = [np.ptp(points[seg, k]) for k in range(points.shape[1])]
+        half = (stop - start) // 2
+        seg[:] = seg[np.argpartition(points[seg, int(np.argmax(spread))], half)]
+        stack += [(start + half, stop), (start, start + half)]
+
+
+def _leaf_minima(block, lo, hi, term) -> np.ndarray:
+    """Per-point minimum dissimilarity of the block, whose bounding box is
+    [lo, hi], over the balls that can hold it."""
+    centers, safe, zero, exponent = term
+    if len(centers) <= SEEDS:
+        return _dissimilarities(block, *term).min(axis=1)
+    # the kernel's own distance from each center to its nearest box point
+    gap = cross_distance_matrix(np.clip(centers, lo, hi) - centers, np.zeros((1, centers.shape[1])))
+    bound = _scale(gap.T, safe, zero, exponent)[0]
+    seeds = np.argpartition(bound, SEEDS - 1)[:SEEDS]
+    best = _dissimilarities(block, *_take(term, seeds)).min(axis=1)
+    rest = bound <= best.max() * (1 + SLACK) + np.finfo(np.float64).tiny
+    rest[seeds] = False
+    if rest.any():
+        np.minimum(best, _dissimilarities(block, *_take(term, rest)).min(axis=1), out=best)
+    return best
+
+
+def _take(term, index):
+    return tuple(None if a is None else a[index] for a in term)
 
 
 def _labels(minima: np.ndarray, class_counts: tuple[int, ...]) -> np.ndarray:

@@ -18,7 +18,6 @@ decision quality; fine-grained scores close most of the gaps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +85,12 @@ def _knn_neighbor_labels(train_data: LabeledDataset, points, k: int) -> np.ndarr
     order; among points at the k-th smallest distance the lowest indices
     are taken, the same set a stable sort of the distances would give.
 
+    Only rows where more than k points reach the k-th distance, rare on
+    continuous data, run the tie step: a running count over the row.
+
     Queries run in row blocks of classifier.QUERY_BLOCK_BYTES // (8 * n)
-    rows, n the training size; a block's distances and their partitioned
-    copy, masks and tie counts take about 34 bytes per query-point pair.
+    rows, n the training size; a block's distances, their partitioned copy
+    and one mask take 17 bytes per query-point pair, a tied row about 13 more.
     """
     if not 1 <= k <= train_data.n:
         raise ValueError(f"k must be in [1, {train_data.n}]")
@@ -100,11 +102,13 @@ def _knn_neighbor_labels(train_data: LabeledDataset, points, k: int) -> np.ndarr
     for i in range(0, len(pts), rows):
         dist = cross_distance_matrix(pts[i : i + rows], train_data.points)
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-        chosen = dist < kth
-        at_kth = dist == kth
-        # how many of the points tied at the k-th distance still fit
-        room = k - np.count_nonzero(chosen, axis=1)
-        chosen |= at_kth & (np.cumsum(at_kth, axis=1) <= room[:, None])
+        chosen = dist <= kth
+        tied = np.count_nonzero(chosen, axis=1) > k
+        if tied.any():
+            at_kth = dist[tied] == kth[tied]
+            # how many of the points tied at the k-th distance still fit
+            room = k + np.count_nonzero(at_kth, axis=1) - np.count_nonzero(chosen[tied], axis=1)
+            chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room[:, None])
         out[i : i + rows] = train_data.labels[np.nonzero(chosen)[1].reshape(len(dist), k)]
     return out
 
@@ -424,6 +428,10 @@ def run_simulation(
             if consume(_run_replication(config, classifiers, rep, score_mode)):
                 break
     else:
+        # imported here, so that importing ccdig does not load concurrent.futures
+        # and the logging and queue modules it pulls in
+        from concurrent.futures import ThreadPoolExecutor
+
         # speculative prefetch: replications are consumed strictly in order,
         # so results match the sequential run with any thread count
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -198,8 +198,24 @@ def _blocking_models():
         yield train(data, "random_walk", e=0.5), queries
 
 
+def _counting_kernel(monkeypatch):
+    """Wrap the query path's distance kernel; the list it returns holds
+    the number of entries of each call."""
+    kernel, entries = classifier.cross_distance_matrix, []
+
+    def counting(a, b):
+        result = kernel(a, b)
+        entries.append(result.size)
+        return result
+
+    monkeypatch.setattr(classifier, "cross_distance_matrix", counting)
+    return entries
+
+
 def test_query_blocks_are_bit_identical_to_one_block(monkeypatch):
     seen_zero = set()
+    entries = _counting_kernel(monkeypatch)
+    pruned = 0
     for model, queries in _blocking_models():
         if any(b.radius == 0 for cover in model.covers for b in cover.balls):
             seen_zero.add(model.variant)
@@ -209,15 +225,91 @@ def test_query_blocks_are_bit_identical_to_one_block(monkeypatch):
         if model.variant == "pure":  # numpy's array power may differ from the scalar one in the last bit
             for z, row in zip(queries, minima):
                 assert row.tolist() == [min(scaled_dissimilarity(z, b) for b in cover.balls) for cover in model.covers]
+        balls = sum(cover.n_balls for cover in model.covers)
         widest = max(cover.n_balls for cover in model.covers)
-        for rows in (1, 2, 7, len(queries) - 1):
-            monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * widest * rows)
-            got_labels, got_minima = predict_batch(model, queries)
-            assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
-            if gaps is not None:
-                assert np.array_equal(discriminant_batch(model, queries, 1), gaps)
+        # these covers have at most 14 balls, so fewer seeds let the leaves prune
+        for seeds in (1, 4, classifier.SEEDS):
+            monkeypatch.setattr(classifier, "SEEDS", seeds)
+            for rows in (1, 2, 7, len(queries) - 1):
+                monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * widest * rows)
+                entries.clear()
+                got_labels, got_minima = predict_batch(model, queries)
+                pruned += sum(entries) < len(queries) * balls
+                assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
+                if gaps is not None:
+                    assert np.array_equal(discriminant_batch(model, queries, 1), gaps)
         assert [predict(model, z).label for z in queries[:10]] == labels[:10].tolist()
     assert seen_zero == {"pure", "random_walk"}
+    assert pruned  # some batch computed fewer distances than queries x balls
+
+
+def _one_block_minima(model, queries):
+    """Per-class minima from the one-block code, one batch of at most
+    `rows` queries at a time."""
+    widest = max(cover.n_balls for cover in model.covers)
+    rows = max(1, classifier.QUERY_BLOCK_BYTES // (8 * widest))
+    return np.vstack([classifier._class_minima(model, queries[i : i + rows]) for i in range(0, len(queries), rows)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 3, 9, 130]),
+    hyper=st.sampled_from([("pure", 0.5), ("pure", 1.0), ("random_walk", 0.0), ("random_walk", 0.5), ("random_walk", 1.0)]),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([2, 5, 16]),
+    seeds=st.sampled_from([1, 2, classifier.SEEDS]),
+)
+def test_pruned_query_leaves_match_one_block_on_lattices(d, hyper, seed, rows, seeds):
+    # lattice points put queries on centers and exactly on ball boundaries;
+    # points shared by both classes give zero-radius balls; d=130 takes the
+    # kernel's pairwise path
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(12, 40, 2)
+    X = np.round(rng.uniform(0.0, 2.0, (n, d)) * 2) / 2
+    Y = np.round(rng.uniform(0.5, 2.5, (m, d)) * 2) / 2
+    Y[:3] = X[:3]
+    data = LabeledDataset(points=np.vstack([X, Y]), labels=np.repeat([0, 1], [n, m]))
+    variant, value = hyper
+    model = train(data, variant, **{classifier.HYPER_KEY[variant]: value})
+    queries = np.vstack([data.points, np.round(rng.uniform(-0.5, 3.0, (40, d)) * 2) / 2, rng.uniform(-0.5, 3.0, (20, d))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "QUERY_BLOCK_BYTES", 2**40)
+        labels, minima = predict_batch(model, queries)
+        gaps = discriminant_batch(model, queries, 0)
+        singles = [predict(model, z) for z in queries[::7]]
+        widest = max(cover.n_balls for cover in model.covers)
+        mp.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * widest * rows)
+        mp.setattr(classifier, "SEEDS", seeds)
+        got_labels, got_minima = predict_batch(model, queries)
+        assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
+        assert np.array_equal(discriminant_batch(model, queries, 0), gaps)
+        assert [predict(model, z) for z in queries[::7]] == singles
+        assert [p.per_class_dissimilarity for p in singles] == [tuple(row) for row in minima[::7].tolist()]
+
+
+def test_query_leaves_compute_under_a_quarter_of_the_pairs(monkeypatch):
+    # shifted d=3 boxes as in the simulation grid; each query leaf meets
+    # only the balls near its bounding box. The 741 balls give leaves of at
+    # most 1383 queries, so 24k queries split into 32 leaves of 750 (at 20k,
+    # 16 leaves of 1250 compute about 31% of the pairs)
+    rng = np.random.default_rng(21)
+    X, Y = rng.uniform(0.0, 1.0, (800, 3)), rng.uniform(0.1, 1.1, (800, 3))
+    model = train(LabeledDataset(points=np.vstack([X, Y]), labels=np.repeat([0, 1], 800)), "pure", tau=0.5)
+    queries = rng.uniform(0.0, 1.1, (24_000, 3))
+    balls = sum(cover.n_balls for cover in model.covers)
+    expected = _one_block_minima(model, queries)
+    entries = _counting_kernel(monkeypatch)
+    labels, minima = predict_batch(model, queries)
+    assert sum(entries) < len(queries) * balls / 4
+    assert np.array_equal(minima, expected)
+    assert np.array_equal(labels, classifier._labels(expected, model.class_counts))
+
+
+def test_empty_query_batch():
+    for model in (two_ball_model(), two_ball_model("random_walk", score_a=2.0, score_b=1.0)):
+        labels, minima = predict_batch(model, np.empty((0, 1)))
+        assert labels.shape == (0,) and minima.shape == (0, 2)
+        assert discriminant_batch(model, np.empty((0, 1)), 1).shape == (0,)
 
 
 def test_predict_dimension_mismatch():

@@ -164,12 +164,14 @@ def test_knn_batch_matches_single():
 
 def test_knn_matches_a_stable_sort_under_many_distance_ties(monkeypatch):
     # points on a coarse integer grid tie at almost every distance, so the
-    # k-th nearest distance is shared by several points in most rows
+    # k-th nearest distance is shared by several points in most rows; the
+    # off-grid queries have no ties, so blocks mix rows with and without
     rng = np.random.default_rng(8)
     points = rng.integers(0, 4, (40, 2)).astype(np.float64)
     labels = np.arange(40) % 3
     ds = LabeledDataset(points=points, labels=labels)
     queries = np.vstack([points[:10], rng.integers(-1, 5, (30, 2)).astype(np.float64)])
+    queries = np.vstack([queries, rng.uniform(-1.0, 5.0, (20, 2))])[rng.permutation(60)]
     for k in (1, 2, 4, 5, 9, 40):
         expected_labels, neighbors = stable_sort_knn(points, labels, queries, k)
         one_block = knn_predict_batch(ds, queries, k), knn_scores(ds, queries, k)
