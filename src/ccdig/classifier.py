@@ -50,7 +50,10 @@ the leaf's bounding box [lo, hi]:
   is kept; an infinite U keeps every ball. Each query's minimum is the
   smaller of its seed and kept minima. Every entry comes from the same
   per-entry kernel and pipeline, and `min` is exact, so the minima are
-  bit-identical to the one-block ones.
+  bit-identical to the one-block ones. (numpy's power rounds an entry
+  the same way in any matrix of two or more columns, but a one-column
+  matrix goes to its scalar pow, which can differ in the last bit; so no
+  pruned matrix has one column.)
 
 On the `pure-overlap` model (1484 balls, 50k d=3 queries in 128 leaves
 of about 390), the kernel returns 4.1 M entries instead of 74.2 M, and
@@ -107,7 +110,9 @@ MODEL_FORMAT_VERSION = 1
 QUERY_BLOCK_BYTES = 4 * 2**20
 
 # balls of least lower bound whose exact dissimilarities set a query
-# leaf's upper bound; a class with at most this many balls is not pruned
+# leaf's upper bound; a class with at most this many balls is not pruned.
+# At least 2, so that no pruned matrix has a single column (see
+# _leaf_minima)
 SEEDS = 16
 
 # relative slack of the pruning test; it covers pow's rounding, a few
@@ -257,6 +262,11 @@ def _leaf_minima(block, lo, hi, term) -> np.ndarray:
     best = _dissimilarities(block, *_take(term, seeds)).min(axis=1)
     rest = bound <= best.max() * (1 + SLACK) + np.finfo(np.float64).tiny
     rest[seeds] = False
+    if np.count_nonzero(rest) == 1:
+        # numpy powers a one-column matrix with its scalar pow, whose last
+        # bit can differ from the vector loop a wider matrix gets, so a lone
+        # ball is computed beside a seed (SEEDS >= 2 for the same reason)
+        rest[seeds[0]] = True
     if rest.any():
         np.minimum(best, _dissimilarities(block, *_take(term, rest)).min(axis=1), out=best)
     return best

@@ -228,7 +228,7 @@ def test_query_blocks_are_bit_identical_to_one_block(monkeypatch):
         balls = sum(cover.n_balls for cover in model.covers)
         widest = max(cover.n_balls for cover in model.covers)
         # these covers have at most 14 balls, so fewer seeds let the leaves prune
-        for seeds in (1, 4, classifier.SEEDS):
+        for seeds in (2, 4, classifier.SEEDS):
             monkeypatch.setattr(classifier, "SEEDS", seeds)
             for rows in (1, 2, 7, len(queries) - 1):
                 monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * widest * rows)
@@ -257,7 +257,7 @@ def _one_block_minima(model, queries):
     hyper=st.sampled_from([("pure", 0.5), ("pure", 1.0), ("random_walk", 0.0), ("random_walk", 0.5), ("random_walk", 1.0)]),
     seed=st.integers(0, 2**32 - 1),
     rows=st.sampled_from([2, 5, 16]),
-    seeds=st.sampled_from([1, 2, classifier.SEEDS]),
+    seeds=st.sampled_from([2, 3, classifier.SEEDS]),
 )
 def test_pruned_query_leaves_match_one_block_on_lattices(d, hyper, seed, rows, seeds):
     # lattice points put queries on centers and exactly on ball boundaries;
@@ -303,6 +303,24 @@ def test_query_leaves_compute_under_a_quarter_of_the_pairs(monkeypatch):
     assert sum(entries) < len(queries) * balls / 4
     assert np.array_equal(minima, expected)
     assert np.array_equal(labels, classifier._labels(expected, model.class_counts))
+
+
+def test_a_lone_kept_ball_gets_the_vector_power(monkeypatch):
+    # the leaf {1.0, z} seeds the two balls centred inside its box, and the
+    # ball at 1.5 is the only other one in reach; z's value there is
+    # (0.0206...)**2, whose last bit numpy's scalar power and its vector
+    # loop round differently on hosts with a vectorised pow
+    z = 1.4896920648707876
+    cover_a = array_cover(0, [1.0, 1.2, 1.5], [0.01, 0.01, 0.5], [2.0, 2.0, 2.0])
+    cover_b = array_cover(1, [10.0], [1.0], [1.0])
+    model = CccdModel(variant="random_walk", covers=(cover_a, cover_b), hyper={"e": 1.0}, dim=1,
+                      label_map=("a", "b"), class_counts=(3, 1))
+    queries = np.array([[0.0], [1.0], [z]])
+    labels, minima = predict_batch(model, queries)
+    monkeypatch.setattr(classifier, "SEEDS", 2)
+    monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * 3 * 2)
+    got_labels, got_minima = predict_batch(model, queries)
+    assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
 
 
 def test_empty_query_batch():
