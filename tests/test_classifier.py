@@ -291,7 +291,7 @@ def test_query_leaves_compute_under_a_quarter_of_the_pairs(monkeypatch):
     # shifted d=3 boxes as in the simulation grid; each query leaf meets
     # only the balls near its bounding box. The 741 balls give leaves of at
     # most 1383 queries, so 24k queries split into 32 leaves of 750 (at 20k,
-    # 16 leaves of 1250 compute about 31% of the pairs)
+    # 16 leaves of 1250 compute about 27% of the pairs)
     rng = np.random.default_rng(21)
     X, Y = rng.uniform(0.0, 1.0, (800, 3)), rng.uniform(0.1, 1.1, (800, 3))
     model = train(LabeledDataset(points=np.vstack([X, Y]), labels=np.repeat([0, 1], 800)), "pure", tau=0.5)
