@@ -8,12 +8,9 @@ prototype balls used by a scaled-dissimilarity classifier.
 
 from .classifier import (
     CccdModel,
-    Prediction,
-    discriminant,
     load_model,
     model_from_json,
     model_to_json,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -30,7 +27,6 @@ from .evaluation import (
     EvalReport,
     SimulationConfig,
     auc,
-    knn_predict,
     knn_predict_batch,
     knn_scores,
     local_imbalance,
@@ -53,15 +49,12 @@ __all__ = [
     "CoverBall",
     "EvalReport",
     "LabeledDataset",
-    "Prediction",
     "SimulationConfig",
     "auc",
     "build_pccd_digraph",
     "cross_distance_matrix",
     "dataset_to_csv",
-    "discriminant",
     "greedy_dominating_set",
-    "knn_predict",
     "knn_predict_batch",
     "knn_scores",
     "load_model",
@@ -74,7 +67,6 @@ __all__ = [
     "pccd_cover",
     "pilot_select",
     "pilot_study",
-    "predict",
     "predict_batch",
     "reduction_stats",
     "run_simulation",

@@ -8,12 +8,11 @@ random-walk variant sharpens each ball's vote by raising it to the
 power score**e. Prediction is the argmin over classes. The query path
 and the model JSON read and write the cover's arrays directly.
 
-The query path (`predict`, `predict_batch`, `discriminant`,
-`discriminant_batch`) works on blocks of at most
-rows = QUERY_BLOCK_BYTES // (8 * b) queries, b the largest number of
-balls in one class. A batch of at most `rows` queries is one block, and
-each class's minimum is taken over the block's distances to all its
-balls; every `simulate` fit and single-point `predict` runs this way. A
+The query path (`predict_batch`, `discriminant_batch`) works on blocks
+of at most rows = QUERY_BLOCK_BYTES // (8 * b) queries, b the largest
+number of balls in one class. A batch of at most `rows` queries is one
+block, and each class's minimum is taken over the block's distances to
+all its balls; every `simulate` fit and one-row batch runs this way. A
 larger batch is split into leaves: a segment of queries is cut at the
 median of its widest coordinate until it has at most `rows` queries
 (Bentley's k-d split), and each leaf's minima are scattered back
@@ -86,11 +85,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix, write_text_atomic
+from .core import LabeledDataset, as_points, check_hyper, cross_distance_matrix, write_text_atomic
 from .pccd import ClassCover, pccd_cover
 from .rwccd import rw_cover
 
@@ -125,7 +124,11 @@ HYPER_KEY = {VARIANT_PURE: "tau", VARIANT_RW: "e"}
 
 @dataclass(frozen=True, eq=False)
 class CccdModel:
-    """Per-class ball covers plus the hyperparameters that built them."""
+    """Per-class ball covers plus the hyperparameter that built them.
+
+    hyper is exactly {HYPER_KEY[variant]: value}. The value is range-checked
+    here, so a model built, loaded or replaced with a bad one never exists.
+    """
 
     variant: str
     covers: tuple[ClassCover, ...]
@@ -135,8 +138,11 @@ class CccdModel:
     class_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.variant not in (VARIANT_PURE, VARIANT_RW):
+        if self.variant not in HYPER_KEY:
             raise ValueError(f"unknown variant {self.variant!r}")
+        key = HYPER_KEY[self.variant]
+        if not isinstance(self.hyper, dict) or set(self.hyper) != {key}:
+            raise ValueError(f"hyper must hold {key!r} and nothing else for the {self.variant} variant")
         if len(self.covers) < 2:
             raise ValueError("a model needs at least two classes")
         if len(self.label_map) != len(self.covers) or len(self.class_counts) != len(self.covers):
@@ -146,6 +152,7 @@ class CccdModel:
                 raise ValueError("random-walk covers must carry scores and pure covers none")
             if cover.centers.shape[1] != self.dim:
                 raise ValueError("ball dimension does not match the model")
+        object.__setattr__(self, "hyper", {key: check_hyper(key, self.hyper[key])})
         object.__setattr__(self, "covers", tuple(self.covers))
         object.__setattr__(self, "label_map", tuple(self.label_map))
         object.__setattr__(self, "class_counts", tuple(int(c) for c in self.class_counts))
@@ -153,12 +160,6 @@ class CccdModel:
     @property
     def n_classes(self) -> int:
         return len(self.covers)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    per_class_dissimilarity: tuple[float, ...]
 
 
 def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: float | None = None) -> CccdModel:
@@ -283,22 +284,17 @@ def _labels(minima: np.ndarray, class_counts: tuple[int, ...]) -> np.ndarray:
     return order[np.argmin(minima[:, order], axis=1)]
 
 
-def predict(model: CccdModel, z) -> Prediction:
-    """Classify one point."""
-    p = as_point(z)
-    if p.size != model.dim:
-        raise ValueError(f"dimension mismatch: point has {p.size}, model expects {model.dim}")
-    minima = _class_minima(model, p[None, :])
-    label = int(_labels(minima, model.class_counts)[0])
-    return Prediction(label=label, per_class_dissimilarity=tuple(float(v) for v in minima[0]))
+def _batch_minima(model: CccdModel, points) -> np.ndarray:
+    """Per-class minima of a batch of points of the model's dimension."""
+    pts = as_points(points)
+    if pts.shape[1] != model.dim:
+        raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, model expects {model.dim}")
+    return _class_minima(model, pts)
 
 
 def predict_batch(model: CccdModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Labels and the per-class dissimilarity matrix for many points."""
-    pts = as_points(points)
-    if pts.shape[1] != model.dim:
-        raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, model expects {model.dim}")
-    minima = _class_minima(model, pts)
+    minima = _batch_minima(model, points)
     return _labels(minima, model.class_counts), minima
 
 
@@ -312,25 +308,19 @@ def _gap(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return out
 
 
-def discriminant(model: CccdModel, z, positive_class: int) -> float:
+def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndarray:
     """Continuous two-class score: larger means more like the positive class.
 
-    Defined as (min dissimilarity to the negative class) minus (min
-    dissimilarity to the positive class), with an infinite side replaced
-    by a +-LARGE_GAP sentinel; its sign agrees with predict up to ties.
+    Defined per point as (min dissimilarity to the negative class) minus
+    (min dissimilarity to the positive class), with an infinite side
+    replaced by a +-LARGE_GAP sentinel; its sign agrees with predict_batch
+    up to ties.
     """
-    return float(discriminant_batch(model, as_point(z)[None, :], positive_class)[0])
-
-
-def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndarray:
     if model.n_classes != 2:
         raise ValueError("the discriminant is defined for two-class models only")
     if positive_class not in (0, 1):
         raise ValueError("positive_class must be one of the model's class ids")
-    pts = as_points(points)
-    if pts.shape[1] != model.dim:
-        raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, model expects {model.dim}")
-    minima = _class_minima(model, pts)
+    minima = _batch_minima(model, points)
     return _gap(minima[:, positive_class], minima[:, 1 - positive_class])
 
 
@@ -394,7 +384,6 @@ def _check_model_doc(doc) -> None:
     key = HYPER_KEY[variant]
     need(isinstance(hyper, dict) and key in hyper, f"hyper must hold {key!r} for the {variant} variant")
     need(_is_number(hyper[key]), f"hyper {key} must be a finite number")
-    check_hyper(key, hyper[key])
     covers, labels = doc["covers"], doc["label_map"]
     need(isinstance(covers, list) and len(covers) >= 2, "covers must list at least two classes")
     need(
@@ -474,10 +463,3 @@ def save_model(model: CccdModel, path) -> None:
 def load_model(path) -> CccdModel:
     with open(path, encoding="utf-8") as fh:
         return model_from_json(fh.read())
-
-
-def with_hyper(model: CccdModel, **hyper) -> CccdModel:
-    """Same covers, different prediction hyperparameters (e.g. a new e)."""
-    merged = dict(model.hyper)
-    merged.update({k: check_hyper(k, v) for k, v in hyper.items()})
-    return replace(model, hyper=merged)

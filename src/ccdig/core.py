@@ -29,20 +29,6 @@ class DatasetFormatError(ValueError):
     """Raised when CSV input violates the dataset format."""
 
 
-def as_point(p) -> np.ndarray:
-    """Coerce a single point to a 1-D float64 array of finite coordinates."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"a point must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("a point needs at least one coordinate")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point coordinates must be finite")
-    return arr
-
-
 def as_points(ps) -> np.ndarray:
     """Coerce a sequence of points to an (n, d) float64 matrix.
 
@@ -61,7 +47,9 @@ def as_points(ps) -> np.ndarray:
 def check_hyper(key: str, value) -> float:
     """The one range check of the hyperparameters: tau in (0,1] for pure
     covers, e in [0,1] for random-walk scores, k a positive integer for
-    k-NN. Returns the value as a float."""
+    k-NN. Returns the value as a float; any other key raises."""
+    if key not in ("tau", "e", "k"):
+        raise ValueError(f"unknown hyperparameter {key!r}")
     try:
         value = float(value)
     except OverflowError:  # an int too large for a float is out of every range

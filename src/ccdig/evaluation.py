@@ -18,7 +18,7 @@ decision quality; fine-grained scores close most of the gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,9 +31,8 @@ from .classifier import (
     discriminant_batch,
     predict_batch,
     train,
-    with_hyper,
 )
-from .core import LabeledDataset, as_point, as_points, check_hyper, cross_distance_matrix, sample_uniform_box
+from .core import LabeledDataset, as_points, check_hyper, cross_distance_matrix, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
 # classifier kind -> the one hyperparameter it takes
@@ -113,26 +112,17 @@ def _knn_neighbor_labels(train_data: LabeledDataset, points, k: int) -> np.ndarr
     return out
 
 
-def knn_predict(train_data: LabeledDataset, z, k: int, positive: int = 1) -> tuple[int, float]:
-    """Majority label among the k nearest training points.
-
-    Returns the label and the fraction of neighbors from the `positive`
-    class. Distance ties go to the lower training index; vote ties to
-    the larger training class, then the lower class id.
-    """
-    neighbors = _knn_neighbor_labels(train_data, as_point(z)[None, :], k)
-    label = int(_majority_labels(neighbors, train_data.class_counts, train_data.n_classes)[0])
-    return label, float(np.mean(neighbors == positive))
-
-
 def knn_predict_batch(train_data: LabeledDataset, points, k: int) -> np.ndarray:
-    """Majority labels for many query points at once."""
+    """Majority label among the k nearest training points, for many query
+    points at once. Distance ties go to the lower training index; vote
+    ties to the larger training class, then the lower class id."""
     neighbors = _knn_neighbor_labels(train_data, points, k)
     return _majority_labels(neighbors, train_data.class_counts, train_data.n_classes)
 
 
 def knn_scores(train_data: LabeledDataset, points, k: int, positive: int = 1) -> np.ndarray:
-    """Positive-neighbor fractions for many query points at once."""
+    """Fraction of the k nearest training points (as knn_predict_batch
+    picks them) from the `positive` class, for many query points at once."""
     neighbors = _knn_neighbor_labels(train_data, points, k)
     return (neighbors == positive).mean(axis=1)
 
@@ -501,7 +491,7 @@ def pilot_study(
             # covers do not depend on e, so fit once and swap the exponent
             base = train(train_data, VARIANT_RW, e=grid[0])
             aucs = [
-                auc(_model_scores(with_hyper(base, e=v), test_points, score_mode), test_labels)
+                auc(_model_scores(replace(base, hyper={"e": v}), test_points, score_mode), test_labels)
                 for v in grid
             ]
         else:
@@ -534,6 +524,8 @@ def reduction_stats(model: CccdModel, train_sizes=None) -> list[PrototypeStat]:
     sizes = tuple(train_sizes) if train_sizes is not None else model.class_counts
     if len(sizes) != model.n_classes:
         raise ValueError("need one training size per class")
+    if any(size < 1 for size in sizes):  # a ratio needs a positive size
+        raise ValueError("every training size must be at least 1")
     return [
         PrototypeStat(class_id=cover.class_id, n_prototypes=cover.n_balls, n_train=int(sizes[i]))
         for i, cover in enumerate(model.covers)

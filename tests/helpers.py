@@ -7,8 +7,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccdig.classifier import SCORE_CLAMP
-from ccdig.core import as_point, as_points, check_hyper, cross_distance_matrix
+from ccdig.core import as_points, check_hyper, cross_distance_matrix
 from ccdig.pccd import ClassCover, CoverBall
+
+
+def as_point(p) -> np.ndarray:
+    """Coerce a single point to a 1-D float64 array of finite coordinates."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1:
+        raise ValueError(f"a point must be one-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError("a point needs at least one coordinate")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("point coordinates must be finite")
+    return arr
 
 
 def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):

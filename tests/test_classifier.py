@@ -3,6 +3,7 @@ discriminant, persistence."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +15,13 @@ from ccdig.classifier import (
     LARGE_GAP,
     SCORE_CLAMP,
     CccdModel,
-    discriminant,
     discriminant_batch,
     model_from_json,
     model_to_json,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train,
-    with_hyper,
 )
 from ccdig.core import LabeledDataset
 from helpers import argmin_label, array_cover, random_instance, scaled_dissimilarity, weighted_dissimilarity
@@ -39,6 +37,12 @@ def two_ball_model(variant="pure", r_a=2.0, r_b=1.0, score_a=None, score_b=None,
     hyper = {"tau": 0.5} if variant == "pure" else {"e": e}
     return CccdModel(variant=variant, covers=(cover_a, cover_b), hyper=hyper, dim=1,
                      label_map=("a", "b"), class_counts=counts)
+
+
+def one_row(model, z):
+    """Label and per-class minima of z as a one-row batch."""
+    labels, minima = predict_batch(model, [z])
+    return int(labels[0]), tuple(minima[0].tolist())
 
 
 def separable_dataset(seed=0, n=20, m=15, d=2, gap=5.0):
@@ -127,16 +131,16 @@ def test_train_validates_hyper():
 
 def test_predict_prefers_bigger_radius_when_equidistant():
     model = two_ball_model()
-    pred = predict(model, [1.0])
-    assert pred.per_class_dissimilarity == (0.5, 1.0)
-    assert pred.label == 0
+    label, dissimilarity = one_row(model, [1.0])
+    assert dissimilarity == (0.5, 1.0)
+    assert label == 0
 
 
 def test_predict_containment_wins():
     ds = separable_dataset()
     model = train(ds, "pure", tau=1.0)
     _, minima = predict_batch(model, ds.points)
-    labels = np.array([predict(model, p).label for p in ds.points])
+    labels = np.array([one_row(model, p)[0] for p in ds.points])
     np.testing.assert_array_equal(labels, ds.labels)
     inside = minima[np.arange(ds.n), ds.labels]
     other = minima[np.arange(ds.n), 1 - ds.labels]
@@ -146,10 +150,10 @@ def test_predict_containment_wins():
 def test_predict_rw_scores_break_co_coverage():
     model = two_ball_model(variant="random_walk", r_a=2.0, r_b=2.0, score_a=4.0, score_b=1.0)
     # z = 1.0 has rho 0.5 to both balls; the higher score wins
-    pred = predict(model, [1.0])
-    assert pred.label == 0
-    assert pred.per_class_dissimilarity[0] == 0.0625
-    assert pred.per_class_dissimilarity[1] == 0.5
+    label, dissimilarity = one_row(model, [1.0])
+    assert label == 0
+    assert dissimilarity[0] == 0.0625
+    assert dissimilarity[1] == 0.5
 
 
 def test_predict_tie_breaks():
@@ -157,9 +161,9 @@ def test_predict_tie_breaks():
     cover_a = array_cover(0, [0.0], [1.0])
     cover_b = array_cover(1, [0.0], [1.0])
     majority = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (2, 5))
-    assert predict(majority, [0.25]).label == 1  # larger class wins
+    assert one_row(majority, [0.25])[0] == 1  # larger class wins
     even = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (3, 3))
-    assert predict(even, [0.25]).label == 0  # then lower id
+    assert one_row(even, [0.25])[0] == 0  # then lower id
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +242,7 @@ def test_query_blocks_are_bit_identical_to_one_block(monkeypatch):
                 assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
                 if gaps is not None:
                     assert np.array_equal(discriminant_batch(model, queries, 1), gaps)
-        assert [predict(model, z).label for z in queries[:10]] == labels[:10].tolist()
+        assert [one_row(model, z)[0] for z in queries[:10]] == labels[:10].tolist()
     assert seen_zero == {"pure", "random_walk"}
     assert pruned  # some batch computed fewer distances than queries x balls
 
@@ -276,15 +280,15 @@ def test_pruned_query_leaves_match_one_block_on_lattices(d, hyper, seed, rows, s
         mp.setattr(classifier, "QUERY_BLOCK_BYTES", 2**40)
         labels, minima = predict_batch(model, queries)
         gaps = discriminant_batch(model, queries, 0)
-        singles = [predict(model, z) for z in queries[::7]]
+        singles = [one_row(model, z) for z in queries[::7]]
         widest = max(cover.n_balls for cover in model.covers)
         mp.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * widest * rows)
         mp.setattr(classifier, "SEEDS", seeds)
         got_labels, got_minima = predict_batch(model, queries)
         assert np.array_equal(got_labels, labels) and np.array_equal(got_minima, minima)
         assert np.array_equal(discriminant_batch(model, queries, 0), gaps)
-        assert [predict(model, z) for z in queries[::7]] == singles
-        assert [p.per_class_dissimilarity for p in singles] == [tuple(row) for row in minima[::7].tolist()]
+        assert [one_row(model, z) for z in queries[::7]] == singles
+        assert [dissimilarity for _, dissimilarity in singles] == [tuple(row) for row in minima[::7].tolist()]
 
 
 def test_query_leaves_compute_under_a_quarter_of_the_pairs(monkeypatch):
@@ -333,7 +337,7 @@ def test_empty_query_batch():
 def test_predict_dimension_mismatch():
     model = two_ball_model()
     with pytest.raises(ValueError, match="dimension"):
-        predict(model, [0.0, 1.0])
+        predict_batch(model, [[0.0, 1.0]])
 
 
 def test_rw_containment_consistency():
@@ -384,11 +388,11 @@ def test_permutation_invariance():
     model_perm = train(ds_perm, "pure", tau=0.6)
     queries = rng.normal(size=(40, 2))
     for q in queries:
-        a = predict(model, q)
-        b = predict(model_perm, q)
-        assert b.label == perm[a.label]
+        a_label, a_dissimilarity = one_row(model, q)
+        b_label, b_dissimilarity = one_row(model_perm, q)
+        assert b_label == perm[a_label]
         for c in range(3):
-            assert b.per_class_dissimilarity[perm[c]] == a.per_class_dissimilarity[c]
+            assert b_dissimilarity[perm[c]] == a_dissimilarity[c]
 
 
 def test_scale_invariance_of_predictions():
@@ -412,8 +416,8 @@ def test_scale_invariance_of_predictions():
 def test_discriminant_orders_by_membership():
     ds = separable_dataset()
     model = train(ds, "pure", tau=1.0)
-    inside_pos = discriminant(model, ds.class_points(1)[0], positive_class=1)
-    inside_neg = discriminant(model, ds.class_points(0)[0], positive_class=1)
+    inside_pos = discriminant_batch(model, [ds.class_points(1)[0]], positive_class=1)[0]
+    inside_neg = discriminant_batch(model, [ds.class_points(0)[0]], positive_class=1)[0]
     assert inside_pos > 0 > inside_neg
 
 
@@ -446,8 +450,8 @@ def test_discriminant_sentinels():
     cover_a = array_cover(0, [0.0], [0.0])  # zero radius: inf away
     cover_b = array_cover(1, [2.0], [1.0])
     model = CccdModel("pure", (cover_a, cover_b), {"tau": 1.0}, 1, ("a", "b"), (1, 1))
-    assert discriminant(model, [2.0], positive_class=1) == LARGE_GAP
-    assert discriminant(model, [2.0], positive_class=0) == -LARGE_GAP
+    assert discriminant_batch(model, [[2.0]], positive_class=1)[0] == LARGE_GAP
+    assert discriminant_batch(model, [[2.0]], positive_class=0)[0] == -LARGE_GAP
     # both sides infinitely far: defined as 0
     both_zero = CccdModel(
         "pure",
@@ -457,20 +461,20 @@ def test_discriminant_sentinels():
         ("a", "b"),
         (1, 1),
     )
-    assert discriminant(both_zero, [-5.0], positive_class=1) == 0.0
-    assert discriminant(both_zero, [-5.0], positive_class=0) == 0.0
+    assert discriminant_batch(both_zero, [[-5.0]], positive_class=1)[0] == 0.0
+    assert discriminant_batch(both_zero, [[-5.0]], positive_class=0)[0] == 0.0
 
 
 def test_discriminant_equal_minima_is_zero():
     model = two_ball_model(r_a=1.0, r_b=1.0)
-    assert discriminant(model, [1.0], positive_class=1) == 0.0
+    assert discriminant_batch(model, [[1.0]], positive_class=1)[0] == 0.0
 
 
 def test_discriminant_requires_two_classes():
     ds = LabeledDataset(points=[[0.0], [0.1], [5.0], [5.1], [9.0]], labels=[0, 0, 1, 1, 2])
     model = train(ds, "pure", tau=0.5)
     with pytest.raises(ValueError, match="two-class"):
-        discriminant(model, [0.0], positive_class=1)
+        discriminant_batch(model, [[0.0]], positive_class=1)
 
 
 def test_perfect_separation_gives_auc_one():
@@ -559,14 +563,32 @@ def test_mutated_model_json_raises_only_value_error(variant, pick, action):
     assert labels.shape == (3,) and minima.shape == (3, model.n_classes)
 
 
-def test_with_hyper_swaps_exponent():
+def test_replaced_hyper_swaps_exponent():
     ds = separable_dataset(seed=10)
     model = train(ds, "random_walk", e=0.0)
-    swapped = with_hyper(model, e=1.0)
+    swapped = replace(model, hyper={"e": 1.0})
     assert swapped.hyper == {"e": 1.0}
     assert swapped.covers is model.covers
     with pytest.raises(ValueError, match="e must"):
-        with_hyper(model, e=7.0)
+        replace(model, hyper={"e": 7.0})
+
+
+def test_model_holds_exactly_its_checked_hyper():
+    scored = array_cover(0, [0.0], [1.0], scores=[2.0])
+    rw = CccdModel("random_walk", (scored, scored), {"e": 1}, 1, ("a", "b"), (1, 1))
+    assert rw.hyper == {"e": 1.0} and type(rw.hyper["e"]) is float
+    for hyper in ({}, {"e": 5.0}, {"e": 1.0, "tau": 0.5}, {"tau": 0.5}, [("e", 1.0)]):
+        with pytest.raises(ValueError, match="hyper must hold|e must"):
+            CccdModel("random_walk", (scored, scored), hyper, 1, ("a", "b"), (1, 1))
+    pure = array_cover(0, [0.0], [1.0])
+    with pytest.raises(ValueError, match="tau"):
+        CccdModel("pure", (pure, pure), {"e": 0.5}, 1, ("a", "b"), (1, 1))
+    # a saved document with a second key no longer loads, nor one out of range
+    for key, value in (("foo", 3.0), ("e", 5.0)):
+        doc = json.loads(json.dumps(_VALID_DOCS["random_walk"]))
+        doc["hyper"][key] = value
+        with pytest.raises(ValueError):
+            model_from_json(json.dumps(doc))
 
 
 def test_model_validation():

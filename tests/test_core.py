@@ -12,6 +12,7 @@ from ccdig import core
 from ccdig.core import (
     DatasetFormatError,
     LabeledDataset,
+    check_hyper,
     cross_distance_matrix,
     dataset_to_csv,
     parse_dataset,
@@ -60,6 +61,13 @@ def test_metric_axioms(triple):
     assert d_ab >= 0.0
     assert d_ab == d_ba
     assert d_ac <= d_ab + d_bc + 1e-12
+
+
+def test_check_hyper_rejects_unknown_keys():
+    assert type(check_hyper("tau", 1)) is float and check_hyper("k", 3.0) == 3.0
+    for key in ("bogus", "foo", "E", ""):
+        with pytest.raises(ValueError, match="unknown hyperparameter"):
+            check_hyper(key, "nan")
 
 
 def test_cross_distance_matrix_examples():

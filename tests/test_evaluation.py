@@ -15,7 +15,6 @@ from ccdig.evaluation import (
     SimulationConfig,
     auc,
     format_report_table,
-    knn_predict,
     knn_predict_batch,
     knn_scores,
     local_imbalance,
@@ -94,17 +93,22 @@ def test_auc_invariant_under_increasing_transforms(pairs):
     assert auc(np.exp(scores / 65536.0), labels) == base
 
 
+def knn_one(train_data, z, k):
+    """Label and positive-neighbor fraction of z as a one-row batch."""
+    return int(knn_predict_batch(train_data, [z], k)[0]), float(knn_scores(train_data, [z], k)[0])
+
+
 def knn_toy():
     return LabeledDataset(points=[[0.0], [1.0], [2.0], [10.0]], labels=[1, 1, 0, 0])
 
 
 def test_knn_k1_nearest_label():
-    label, frac = knn_predict(knn_toy(), [0.2], 1)
+    label, frac = knn_one(knn_toy(), [0.2], 1)
     assert (label, frac) == (1, 1.0)
 
 
 def test_knn_counts_votes():
-    label, frac = knn_predict(knn_toy(), [0.9], 3)  # neighbors: 1, 0, 2 -> labels 1,1,0
+    label, frac = knn_one(knn_toy(), [0.9], 3)  # neighbors: 1, 0, 2 -> labels 1,1,0
     assert label == 1
     assert frac == pytest.approx(2 / 3)
 
@@ -112,14 +116,14 @@ def test_knn_counts_votes():
 def test_knn_k_equals_n_gives_global_majority():
     ds = LabeledDataset(points=[[0.0], [1.0], [2.0], [3.0], [50.0]], labels=[0, 0, 0, 1, 1])
     for z in ([-100.0], [100.0], [2.5]):
-        assert knn_predict(ds, z, 5)[0] == 0
+        assert knn_one(ds, z, 5)[0] == 0
 
 
 def test_knn_k_out_of_range():
     with pytest.raises(ValueError, match="k must be"):
-        knn_predict(knn_toy(), [0.0], 0)
+        knn_one(knn_toy(), [0.0], 0)
     with pytest.raises(ValueError, match="k must be"):
-        knn_predict(knn_toy(), [0.0], 5)
+        knn_one(knn_toy(), [0.0], 5)
 
 
 def test_knn_self_point_is_own_nearest_neighbor():
@@ -130,20 +134,20 @@ def test_knn_self_point_is_own_nearest_neighbor():
         labels[0] = 1 - labels[0]
     ds = LabeledDataset(points=pts, labels=labels)
     for i in range(20):
-        assert knn_predict(ds, pts[i], 1)[0] == labels[i]
+        assert knn_one(ds, pts[i], 1)[0] == labels[i]
 
 
 def test_knn_distance_tie_lower_index():
     ds = LabeledDataset(points=[[-1.0], [1.0]], labels=[0, 1])
-    assert knn_predict(ds, [0.0], 1)[0] == 0
+    assert knn_one(ds, [0.0], 1)[0] == 0
 
 
 def test_knn_vote_tie_majority_class_then_lower_id():
     ds = LabeledDataset(points=[[0.0], [1.0], [5.0]], labels=[0, 1, 1])
     # k=2 neighbors of 0.5 are one of each class; class 1 is larger
-    assert knn_predict(ds, [0.5], 2)[0] == 1
+    assert knn_one(ds, [0.5], 2)[0] == 1
     even = LabeledDataset(points=[[0.0], [1.0]], labels=[0, 1])
-    assert knn_predict(even, [0.5], 2)[0] == 0
+    assert knn_one(even, [0.5], 2)[0] == 0
 
 
 def test_knn_batch_matches_single():
@@ -157,7 +161,7 @@ def test_knn_batch_matches_single():
         batch_labels = knn_predict_batch(ds, queries, k)
         batch_scores = knn_scores(ds, queries, k)
         for i, q in enumerate(queries):
-            label, frac = knn_predict(ds, q, k)
+            label, frac = knn_one(ds, q, k)
             assert batch_labels[i] == label
             assert batch_scores[i] == frac
 
@@ -467,6 +471,8 @@ def test_reduction_stats_ratio():
     assert override[0].n_train == 100
     with pytest.raises(ValueError):
         reduction_stats(model, train_sizes=(1,))
+    with pytest.raises(ValueError, match="at least 1"):
+        reduction_stats(model, train_sizes=(0, -3))
 
 
 def test_pure_covers_keep_more_prototypes_than_rw_when_overlapping():
