@@ -235,7 +235,10 @@ def _scale(rho, safe, zero, exponent) -> np.ndarray:
 def _leaves(points: np.ndarray, rows: int):
     """Index arrays of at most `rows` points each that partition the
     batch: a segment is split at the median of its widest coordinate
-    until it fits. The segments are slices of one permutation."""
+    until it fits. The segments are slices of one permutation. Each split
+    gathers its segment once, laid out one contiguous row per coordinate:
+    numpy reduces an (n, 3) block down its columns slower than it gathers
+    it."""
     perm = np.arange(len(points))
     stack = [(0, len(points))]
     while stack:
@@ -244,9 +247,9 @@ def _leaves(points: np.ndarray, rows: int):
         if stop - start <= rows:
             yield seg
             continue
-        spread = [np.ptp(points[seg, k]) for k in range(points.shape[1])]
+        coords = points.take(seg, axis=0).T.copy()
         half = (stop - start) // 2
-        seg[:] = seg[np.argpartition(points[seg, int(np.argmax(spread))], half)]
+        seg[:] = seg[np.argpartition(coords[np.argmax(np.ptp(coords, axis=1))], half)]
         stack += [(start + half, stop), (start, start + half)]
 
 

@@ -84,6 +84,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Classify a feature CSV. The rows are written by one `%` format
+    call over a row template repeated once per row; each class name is
+    quoted by `csv.writer` once, as the first field of a row of its shape
+    (a lone empty field would be written as `""`)."""
     model = load_model(args.model)
     with open(args.data, encoding="utf-8", newline="") as fh:
         points, _ = parse_feature_csv(fh)
@@ -94,11 +98,17 @@ def cmd_predict(args) -> int:
     if args.scores:
         header += [f"dissim_{name}" for name in model.label_map]
     writer.writerow(header)
-    names = [model.label_map[lab] for lab in labels.tolist()]
-    if args.scores:
-        writer.writerows([name, *(f"{v:.6g}" for v in row)] for name, row in zip(names, minima.tolist()))
-    else:
-        writer.writerows([name] for name in names)
+    k = model.n_classes if args.scores else 0
+    quoted = []
+    for name in model.label_map:
+        field = io.StringIO()
+        csv.writer(field, lineterminator="\n").writerow([name, ""] if k else [name])
+        quoted.append(field.getvalue()[: -2 if k else -1])
+    values = [None] * (len(labels) * (k + 1))
+    values[:: k + 1] = [quoted[lab] for lab in labels.tolist()]
+    for j in range(k):
+        values[j + 1 :: k + 1] = minima[:, j].tolist()
+    out.write(("%s" + ",%.6g" * k + "\n") * len(labels) % tuple(values))
     if args.out == "-":
         sys.stdout.write(out.getvalue())
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -225,8 +226,10 @@ def _read_rows(text, label_columns: int) -> tuple[list[str], np.ndarray, list[li
     """The one CSV row reader: a header row, then data rows whose leading
     columns are finite numbers and whose last `label_columns` are kept as
     text. Returns the header, the (rows, features) float64 matrix and
-    the raw rows. Row numbers in error messages are 1-based and count the
-    header."""
+    the raw rows. Once no row is ragged, every feature cell goes through
+    `float()` in one `np.fromiter` pass; any fault is then named by
+    `_first_fault`. Row numbers in error messages are 1-based and count
+    the header."""
     reader = None
     try:
         if isinstance(text, bytes):
@@ -248,15 +251,16 @@ def _read_rows(text, label_columns: int) -> tuple[list[str], np.ndarray, list[li
         and_label = " and a label column" if label_columns else ""
         raise DatasetFormatError(f"row 1: need at least one feature column{and_label}")
     ncols = len(header)
-    try:  # ragged rows are left out here and counted below
-        points = np.array(
-            [[float(c) for c in row[:features]] for row in data if len(row) == ncols], dtype=np.float64
-        )
-    except ValueError:
-        points = None
-    if points is None or len(points) != len(data) or not np.isfinite(points).all():
+    if not all(len(row) == ncols for row in data):
         raise _first_fault(header, data, features)
-    return header, points, data
+    cells = itertools.chain.from_iterable((row[:features] for row in data) if label_columns else data)
+    try:
+        points = np.fromiter(map(float, cells), np.float64, count=len(data) * features)
+    except ValueError:
+        raise _first_fault(header, data, features) from None
+    if not np.isfinite(points).all():
+        raise _first_fault(header, data, features)
+    return header, points.reshape(len(data), features), data
 
 
 def _first_fault(header: list[str], data: list[list[str]], features: int) -> DatasetFormatError:

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -350,3 +352,44 @@ def trapezoid_roc_auc(scores, labels) -> float:
 
 def ln_bound(n: int) -> float:
     return 1.0 + math.log(n)
+
+
+def feature_matrix(text: str, label_columns: int) -> np.ndarray:
+    """The feature matrix of a well-formed CSV by a nested list
+    comprehension, one `float()` per cell: the reference for the parsers'
+    one-pass conversion."""
+    header, *data = csv.reader(io.StringIO(text))
+    features = len(header) - label_columns
+    return np.array([[float(c) for c in row[:features]] for row in data], dtype=np.float64)
+
+
+def predict_csv(label_map, labels, minima, scores: bool) -> str:
+    """`ccdig predict` output written one `csv.writer` row per query, with
+    one f-string per dissimilarity: the reference for the CLI's writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["prediction"]
+    if scores:
+        header += [f"dissim_{name}" for name in label_map]
+    writer.writerow(header)
+    for lab, row in zip(np.asarray(labels).tolist(), np.asarray(minima).tolist()):
+        writer.writerow([label_map[lab], *(f"{v:.6g}" for v in row)] if scores else [label_map[lab]])
+    return out.getvalue()
+
+
+def median_leaves(points: np.ndarray, rows: int) -> list[np.ndarray]:
+    """The query leaves of `classifier._leaves`, each split taking the
+    spread of one gathered coordinate at a time."""
+    perm = np.arange(len(points))
+    stack, leaves = [(0, len(points))], []
+    while stack:
+        start, stop = stack.pop()
+        seg = perm[start:stop]
+        if stop - start <= rows:
+            leaves.append(seg.copy())
+            continue
+        spread = [np.ptp(points[seg, k]) for k in range(points.shape[1])]
+        half = (stop - start) // 2
+        seg[:] = seg[np.argpartition(points[seg, int(np.argmax(spread))], half)]
+        stack += [(start + half, stop), (start, start + half)]
+    return leaves

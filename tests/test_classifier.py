@@ -24,7 +24,14 @@ from ccdig.classifier import (
     train,
 )
 from ccdig.core import LabeledDataset
-from helpers import argmin_label, array_cover, random_instance, scaled_dissimilarity, weighted_dissimilarity
+from helpers import (
+    argmin_label,
+    array_cover,
+    median_leaves,
+    random_instance,
+    scaled_dissimilarity,
+    weighted_dissimilarity,
+)
 
 
 def ball(center, radius, score=None):
@@ -289,6 +296,17 @@ def test_pruned_query_leaves_match_one_block_on_lattices(d, hyper, seed, rows, s
         assert np.array_equal(discriminant_batch(model, queries, 0), gaps)
         assert [one_row(model, z) for z in queries[::7]] == singles
         assert [dissimilarity for _, dissimilarity in singles] == [tuple(row) for row in minima[::7].tolist()]
+
+
+@pytest.mark.parametrize("d", [1, 3, 130])
+@pytest.mark.parametrize("rows", [1, 2, 5, 16])
+def test_query_leaves_match_the_per_coordinate_splitter(d, rows):
+    # half-integer lattice points tie on coordinates and on spreads
+    rng = np.random.default_rng(d * 100 + rows)
+    points = np.round(rng.uniform(0.0, 3.0, (140, d)) * 2) / 2
+    got = list(classifier._leaves(points, rows))
+    expected = median_leaves(points, rows)
+    assert len(got) == len(expected) and all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_query_leaves_compute_under_a_quarter_of_the_pairs(monkeypatch):

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from ccdig.classifier import load_model, predict_batch
 from ccdig.cli import main
 from ccdig.core import parse_dataset
+from helpers import predict_csv
 
 TOY = "x1,x2,cls\n" + "\n".join(
     [f"{x},{y},left" for x, y in [(0, 0), (0.2, 0.1), (0.1, 0.3), (0.3, 0.2)]]
@@ -112,6 +114,58 @@ def test_predict_scores_columns(toy_csv, tmp_path, capsys):
     out = capsys.readouterr().out
     header = out.splitlines()[0]
     assert header == "prediction,dissim_left,dissim_right"
+
+
+# class names csv.writer must quote, or quotes only as a lone field
+ODD_NAMES = ["", "a,b", 'a"b', "a\r\nb", " lead"]
+# minima whose text from '%.6g' must match f"{v:.6g}"
+ODD_MINIMA = [np.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e21, 999999.5, np.nan, 0.0, 1.0]
+
+
+@pytest.fixture
+def odd_model(tmp_path):
+    data = tmp_path / "odd.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "cls"])
+        writer.writerows([[3 * i + j, name] for i, name in enumerate(ODD_NAMES) for j in range(2)])
+    model = tmp_path / "odd.json"
+    assert main(["train", "--data", str(data), "--out", str(model)]) == 0
+    return model
+
+
+@pytest.mark.parametrize("scores", [False, True])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_predict_output_is_the_row_writers_byte_for_byte(odd_model, tmp_path, capsys, monkeypatch, scores, to_file):
+    k = len(ODD_NAMES)
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2**64, size=(200, k), dtype=np.uint64).view(np.float64)
+    minima = np.concatenate([np.resize(ODD_MINIMA, (len(ODD_MINIMA), k)), -np.resize(ODD_MINIMA, (3, k)), bits])
+    labels = np.arange(len(minima)) % k
+    monkeypatch.setattr("ccdig.cli.predict_batch", lambda model, points: (labels, minima))
+    feats = tmp_path / "one.csv"
+    feats.write_text("x\n" + "0\n" * len(minima))
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    argv = ["predict", "--model", str(odd_model), "--data", str(feats), "--out", str(out) if to_file else "-"]
+    assert main(argv + ["--scores"] * scores) == 0
+    model = load_model(odd_model)
+    assert model.label_map == tuple(ODD_NAMES)
+    expected = predict_csv(model.label_map, labels, minima, scores)
+    written = out.read_bytes().decode("utf-8") if to_file else capsys.readouterr().out
+    assert written == expected
+
+
+@pytest.mark.parametrize("scores", [False, True])
+def test_predict_output_matches_the_row_writer_on_real_minima(odd_model, tmp_path, scores):
+    feats = tmp_path / "queries.csv"
+    queries = np.random.default_rng(3).uniform(-2.0, 15.0, 300)
+    feats.write_text("x\n" + "".join(f"{v!r}\n" for v in queries.tolist()))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(odd_model), "--data", str(feats), "--out", str(out)] + ["--scores"] * scores) == 0
+    model = load_model(odd_model)
+    labels, minima = predict_batch(model, queries[:, None])
+    assert out.read_bytes().decode("utf-8") == predict_csv(model.label_map, labels, minima, scores)
 
 
 def test_predict_dimension_mismatch(toy_csv, tmp_path, capsys):

@@ -19,7 +19,7 @@ from ccdig.core import (
     parse_feature_csv,
     sample_uniform_box,
 )
-from helpers import broadcast_distance_matrix, distance
+from helpers import broadcast_distance_matrix, distance, feature_matrix
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -268,6 +268,66 @@ def test_parse_feature_csv():
         parse_feature_csv("a\n1\nx")
     with pytest.raises(DatasetFormatError, match="^row 2: non-numeric feature value 'x' in column 'b'$"):
         parse_feature_csv("a,b\n1,x")
+
+
+# numerals float() accepts: padded, underscored, Unicode digits, signs, exponents
+_NUMERAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**300), 10**300).map(str),
+    st.sampled_from(["1_0", "1_000.5", "2_5e1_0", "١٢٣", "٣.٥", "１２", "𝟏𝟐", "+1e3", "-2E-5", "+.5", "-0", "1.", ".5e+2", "-0.0e-0"]),
+)
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\u3000", "\u00a0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(st.tuples(_PAD, _NUMERAL, _PAD).map("".join), min_size=d, max_size=d), min_size=1, max_size=20
+        )
+    ),
+    st.sampled_from([parse_feature_csv, parse_dataset]),
+)
+def test_parse_converts_each_cell_as_float_does(rows, parser):
+    label_columns = parser is parse_dataset
+    header = [f"x{j}" for j in range(len(rows[0]))] + ["cls"] * label_columns
+    text = ",".join(header) + "".join(
+        "\n" + ",".join(row + ["ab"[i % 2]] * label_columns) for i, row in enumerate(rows)
+    )
+    result = parser(text)
+    points = result.points if label_columns else result[0]
+    expected = feature_matrix(text, label_columns)
+    assert points.shape == expected.shape and points.dtype == np.float64
+    assert points.tobytes() == expected.tobytes()
+
+
+_GOOD = {parse_feature_csv: ("a,b", "1.5,2"), parse_dataset: ("a,b,cls", "1.5,2,p")}
+_BAD = {
+    "ragged": ("1", "1,2"),
+    "non-numeric": ("1,x", "1,x,p"),
+    "non-finite": ("inf,2", "inf,2,p"),
+}
+_FAULT = {
+    (parse_feature_csv, "ragged"): "row 5002: expected 2 columns, got 1",
+    (parse_dataset, "ragged"): "row 5002: expected 3 columns, got 2",
+    (parse_feature_csv, "non-numeric"): "row 5002: non-numeric feature value 'x' in column 'b'",
+    (parse_dataset, "non-numeric"): "row 5002: non-numeric feature value 'x' in column 'b'",
+    (parse_feature_csv, "non-finite"): "row 5002: non-finite feature value 'inf'",
+    (parse_dataset, "non-finite"): "row 5002: non-finite feature value 'inf'",
+}
+
+
+@pytest.mark.parametrize("parser", [parse_feature_csv, parse_dataset])
+@pytest.mark.parametrize("fault", list(_BAD))
+@pytest.mark.parametrize("later", list(_BAD))
+def test_first_fault_message_at_row_5002(parser, fault, later):
+    header, good = _GOOD[parser]
+    bad = _BAD[fault][parser is parse_dataset]
+    after = _BAD[later][parser is parse_dataset]
+    text = "\n".join([header] + [good] * 5000 + [bad, good, after, good]) + "\n"
+    with pytest.raises(DatasetFormatError) as info:
+        parser(text)
+    assert str(info.value) == _FAULT[parser, fault]
 
 
 def test_invalid_utf8_names_its_row():
