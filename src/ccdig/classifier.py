@@ -301,16 +301,6 @@ def predict_batch(model: CccdModel, points) -> tuple[np.ndarray, np.ndarray]:
     return _labels(minima, model.class_counts), minima
 
 
-def _gap(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    pos_inf = np.isinf(pos)
-    neg_inf = np.isinf(neg)
-    out = np.where(neg_inf, LARGE_GAP, np.where(pos_inf, -LARGE_GAP, 0.0))
-    both_fin = ~pos_inf & ~neg_inf
-    out[both_fin] = neg[both_fin] - pos[both_fin]
-    out[pos_inf & neg_inf] = 0.0
-    return out
-
-
 def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndarray:
     """Continuous two-class score: larger means more like the positive class.
 
@@ -324,7 +314,9 @@ def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndar
     if positive_class not in (0, 1):
         raise ValueError("positive_class must be one of the model's class ids")
     minima = _batch_minima(model, points)
-    return _gap(minima[:, positive_class], minima[:, 1 - positive_class])
+    with np.errstate(invalid="ignore"):  # inf - inf: both sides infinitely far, a gap of 0
+        gap = minima[:, 1 - positive_class] - minima[:, positive_class]
+    return np.nan_to_num(gap, copy=False, nan=0.0, posinf=LARGE_GAP, neginf=-LARGE_GAP)
 
 
 def model_to_dict(model: CccdModel) -> dict:

@@ -214,10 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--scores", action="store_true", help="include per-class dissimilarities")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo study over a parameter grid")
-    p_sim.add_argument("--setting", choices=list(evaluation.SETTINGS), required=True)
-    p_sim.add_argument("--d", type=int, required=True)
-    p_sim.add_argument("--n", type=int, required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the flags of simulate and pilot
+    shared.add_argument("--setting", choices=list(evaluation.SETTINGS), required=True)
+    shared.add_argument("--d", type=int, required=True)
+    shared.add_argument("--n", type=int, required=True)
+    shared.add_argument("--test-per-class", type=int, default=100)
+    shared.add_argument("--seed", type=int, default=seed)
+    shared.add_argument(
+        "--score-mode",
+        choices=list(evaluation.SCORE_MODES),
+        default="label",
+        help="rank test points by predicted label (default) or by the graded score",
+    )
+
+    p_sim = sub.add_parser("simulate", parents=[shared], help="run the Monte Carlo study over a parameter grid")
     p_sim.add_argument("--q", help="comma list of class-size ratios m/n")
     p_sim.add_argument("--m", help="comma list of explicit second-class sizes")
     p_sim.add_argument("--delta", help="comma list of shifts (shifted/disjoint settings)")
@@ -226,40 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau", type=float, default=0.5)
     p_sim.add_argument("--e", type=float, default=1.0)
     p_sim.add_argument("--k", type=int, default=5)
-    p_sim.add_argument("--test-per-class", type=int, default=100)
     p_sim.add_argument(
         "--se-target", type=float, default=0.0005, help="stop once every mean-AUC SE is at most this; 0 runs to --max-reps"
     )
     p_sim.add_argument("--max-reps", type=int, default=200)
-    p_sim.add_argument("--seed", type=int, default=seed)
     p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p_sim.add_argument(
-        "--score-mode",
-        choices=list(evaluation.SCORE_MODES),
-        default="label",
-        help="rank test points by predicted label (default) or by the graded score",
-    )
     p_sim.add_argument("--out", help="write the CSV report here")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_pilot = sub.add_parser("pilot", help="select a hyperparameter by repeated best-AUC counting")
-    p_pilot.add_argument("--setting", choices=list(evaluation.SETTINGS), required=True)
-    p_pilot.add_argument("--d", type=int, required=True)
-    p_pilot.add_argument("--n", type=int, required=True)
+    p_pilot = sub.add_parser("pilot", parents=[shared], help="select a hyperparameter by repeated best-AUC counting")
     p_pilot.add_argument("--q", type=float, default=1.0)
     p_pilot.add_argument("--delta", type=float)
     p_pilot.add_argument("--alpha", type=float)
     p_pilot.add_argument("--family", choices=list(_KIND_ALIASES), required=True)
     p_pilot.add_argument("--grid", required=True, help="comma list of parameter values (0 means machine epsilon for tau)")
     p_pilot.add_argument("--reps", type=int, default=200)
-    p_pilot.add_argument("--test-per-class", type=int, default=100)
-    p_pilot.add_argument("--seed", type=int, default=seed)
-    p_pilot.add_argument(
-        "--score-mode",
-        choices=list(evaluation.SCORE_MODES),
-        default="label",
-        help="rank test points by predicted label (default) or by the graded score",
-    )
     p_pilot.set_defaults(func=cmd_pilot)
 
     return parser

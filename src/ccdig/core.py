@@ -218,9 +218,6 @@ class LabeledDataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
 
-    def class_points(self, class_id: int) -> np.ndarray:
-        return self.points[self.labels == class_id]
-
 
 def _read_rows(text, label_columns: int) -> tuple[list[str], np.ndarray, list[list[str]]]:
     """The one CSV row reader: a header row, then data rows whose leading

@@ -333,36 +333,6 @@ def sample_replication(config: SimulationConfig, rep: int):
     return train_data, test_points, test_labels
 
 
-def _fit_model(spec: ClassifierSpec, train_data: LabeledDataset) -> CccdModel | None:
-    if spec.kind == "pcccd":
-        return train(train_data, VARIANT_PURE, tau=spec.param)
-    if spec.kind == "rwcccd":
-        return train(train_data, VARIANT_RW, e=spec.param)
-    return None
-
-
-def _prototype_count(model: CccdModel) -> int:
-    return sum(cover.n_balls for cover in model.covers)
-
-
-def _model_scores(model: CccdModel, test_points, score_mode: str) -> np.ndarray:
-    if score_mode == "label":
-        return predict_batch(model, test_points)[0].astype(np.float64)
-    return discriminant_batch(model, test_points, positive_class=1)
-
-
-def _score_spec(
-    spec: ClassifierSpec, train_data: LabeledDataset, test_points, score_mode: str
-) -> tuple[np.ndarray, int | None]:
-    model = _fit_model(spec, train_data)
-    if model is None:
-        k = int(spec.param)
-        if score_mode == "label":
-            return knn_predict_batch(train_data, test_points, k).astype(np.float64), None
-        return knn_scores(train_data, test_points, k), None
-    return _model_scores(model, test_points, score_mode), _prototype_count(model)
-
-
 def _check_score_mode(score_mode: str) -> str:
     if score_mode not in SCORE_MODES:
         raise ValueError(f"score_mode must be one of {SCORE_MODES}")
@@ -370,14 +340,70 @@ def _check_score_mode(score_mode: str) -> str:
 
 
 def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode: str):
+    """Sample replication `rep`, fit and score every classifier on it.
+
+    Returns per-classifier AUCs and prototype counts (None for knn). RW
+    covers do not depend on e, so they are fitted at most once and each
+    rwcccd spec scores them under its own exponent.
+    """
     train_data, test_points, test_labels = sample_replication(config, rep)
+    base = None  # this replication's RW fit
     aucs = []
     protos = []
     for spec in classifiers:
-        scores, count = _score_spec(spec, train_data, test_points, score_mode)
+        if spec.kind == "knn":
+            knn = knn_predict_batch if score_mode == "label" else knn_scores
+            aucs.append(auc(knn(train_data, test_points, int(spec.param)), test_labels))
+            protos.append(None)
+            continue
+        if spec.kind == "pcccd":
+            model = train(train_data, VARIANT_PURE, tau=spec.param)
+        else:
+            if base is None:
+                base = train(train_data, VARIANT_RW, e=spec.param)
+            model = replace(base, hyper={"e": spec.param})
+        if score_mode == "label":
+            scores = predict_batch(model, test_points)[0]  # auc converts the labels to float64
+        else:
+            scores = discriminant_batch(model, test_points, positive_class=1)
         aucs.append(auc(scores, test_labels))
-        protos.append(count)
+        protos.append(sum(cover.n_balls for cover in model.covers))
     return aucs, protos
+
+
+def _replications(config: SimulationConfig, classifiers, score_mode: str, reps: int, threads: int):
+    """The results of replications 0 .. reps-1, yielded in order.
+
+    With more than one thread, up to 2 * threads replications run ahead
+    on a pool; the next is submitted only once the consumer asks for
+    more. Results are still yielded strictly in order, so they match the
+    sequential run with any thread count. Closing the generator, or a
+    replication raising, cancels every replication not yet started.
+    """
+    if threads <= 1:
+        for rep in range(reps):
+            yield _run_replication(config, classifiers, rep, score_mode)
+        return
+    # imported here, so that importing ccdig does not load concurrent.futures
+    # and the logging and queue modules it pulls in
+    from concurrent.futures import ThreadPoolExecutor
+
+    window = 2 * threads
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {
+            rep: pool.submit(_run_replication, config, classifiers, rep, score_mode)
+            for rep in range(min(window, reps))
+        }
+        try:
+            for rep in range(reps):
+                yield futures.pop(rep).result()
+                if rep + window < reps:
+                    futures[rep + window] = pool.submit(
+                        _run_replication, config, classifiers, rep + window, score_mode
+                    )
+        finally:
+            for future in futures.values():
+                future.cancel()
 
 
 def _se(values) -> float:
@@ -402,46 +428,14 @@ def run_simulation(
     score_mode = _check_score_mode(score_mode)
     per_clf_aucs: list[list[float]] = [[] for _ in classifiers]
     per_clf_protos: list[list[int]] = [[] for _ in classifiers]
-
-    def consume(result) -> bool:
-        aucs, protos = result
+    replications = _replications(config, classifiers, score_mode, config.max_test_reps, threads)
+    for aucs, protos in replications:
         for j in range(len(classifiers)):
             per_clf_aucs[j].append(aucs[j])
             per_clf_protos[j].append(protos[j])
-        reps = len(per_clf_aucs[0])
-        if config.se_target > 0 and reps >= 2 and all(_se(a) <= config.se_target for a in per_clf_aucs):
-            return True
-        return reps >= config.max_test_reps
-
-    if threads <= 1:
-        for rep in range(config.max_test_reps):
-            if consume(_run_replication(config, classifiers, rep, score_mode)):
-                break
-    else:
-        # imported here, so that importing ccdig does not load concurrent.futures
-        # and the logging and queue modules it pulls in
-        from concurrent.futures import ThreadPoolExecutor
-
-        # speculative prefetch: replications are consumed strictly in order,
-        # so results match the sequential run with any thread count
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            window = threads * 2
-            futures = {
-                rep: pool.submit(_run_replication, config, classifiers, rep, score_mode)
-                for rep in range(min(window, config.max_test_reps))
-            }
-            next_rep = len(futures)
-            for rep in range(config.max_test_reps):
-                done = consume(futures.pop(rep).result())
-                if done:
-                    for f in futures.values():
-                        f.cancel()
-                    break
-                if next_rep < config.max_test_reps:
-                    futures[next_rep] = pool.submit(
-                        _run_replication, config, classifiers, next_rep, score_mode
-                    )
-                    next_rep += 1
+        if config.se_target > 0 and len(per_clf_aucs[0]) >= 2 and all(_se(a) <= config.se_target for a in per_clf_aucs):
+            replications.close()
+            break
     results = tuple(
         ClassifierResult(
             name=spec.name,
@@ -485,17 +479,7 @@ def pilot_study(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     counts = np.zeros(len(grid), dtype=np.int64)
-    for rep in range(reps):
-        train_data, test_points, test_labels = sample_replication(config, rep)
-        if family == "rwcccd":
-            # covers do not depend on e, so fit once and swap the exponent
-            base = train(train_data, VARIANT_RW, e=grid[0])
-            aucs = [
-                auc(_model_scores(replace(base, hyper={"e": v}), test_points, score_mode), test_labels)
-                for v in grid
-            ]
-        else:
-            aucs = [auc(_score_spec(spec, train_data, test_points, score_mode)[0], test_labels) for spec in specs]
+    for aucs, _ in _replications(config, specs, score_mode, reps, threads=1):
         top = max(aucs)
         counts[[i for i, a in enumerate(aucs) if a == top]] += 1
     return PilotResult(family=family, grid=grid, counts=tuple(int(c) for c in counts), reps=reps)
@@ -519,16 +503,12 @@ class PrototypeStat:
         return self.n_prototypes / self.n_train
 
 
-def reduction_stats(model: CccdModel, train_sizes=None) -> list[PrototypeStat]:
-    """Per-class prototype (covering-ball) counts and reduction ratios."""
-    sizes = tuple(train_sizes) if train_sizes is not None else model.class_counts
-    if len(sizes) != model.n_classes:
-        raise ValueError("need one training size per class")
-    if any(size < 1 for size in sizes):  # a ratio needs a positive size
-        raise ValueError("every training size must be at least 1")
+def reduction_stats(model: CccdModel) -> list[PrototypeStat]:
+    """Per-class prototype (covering-ball) counts and reduction ratios
+    against the model's training class sizes."""
     return [
-        PrototypeStat(class_id=cover.class_id, n_prototypes=cover.n_balls, n_train=int(sizes[i]))
-        for i, cover in enumerate(model.covers)
+        PrototypeStat(class_id=cover.class_id, n_prototypes=cover.n_balls, n_train=size)
+        for cover, size in zip(model.covers, model.class_counts)
     ]
 
 

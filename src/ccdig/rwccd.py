@@ -19,17 +19,17 @@ selection order.
 
 `rw_cover` sorts each row of the (n, n + m) target-to-all distance
 matrix once per fit (stable argsort, int32 permutation) and keeps, in
-sorted order, a target-column mask and a mask of the entries that are
-not the last of their run of equal radii. Between iterations only
-liveness changes: each iteration gathers the alive-column indicator of
-the alive rows in sorted order, and cumulative sums of it give every
-candidate radius its alive-target and alive-non-target counts. Only run
-ends are candidates; a run of covered points alone repeats the walk
-value of the run before it, so the first maximum is the smallest alive
-radius, exactly as if the alive submatrix had been sorted afresh. Once
-fewer than half the kept columns are alive, the permutation and the
-sorted distances shrink to the alive rows and columns, so iterations get
-cheaper as the cover grows. The walk of every iteration is computed in
+sorted order, a mask of the entries that are not the last of their run
+of equal radii. Between iterations only liveness changes: each
+iteration gathers the permutation of the alive rows, reads from it the
+alive-column indicator and the target mask (column < n), and
+cumulative sums of these give every candidate radius its alive-target
+and alive-non-target counts. Only run ends are candidates; a run of
+covered points alone repeats the walk value of the run before it, so
+the first maximum is the smallest alive radius, exactly as if the alive
+submatrix had been sorted afresh. Once fewer than half the kept columns
+are alive, the permutation and the sorted distances shrink to the alive
+rows and columns, so iterations get cheaper as the cover grows. The walk of every iteration is computed in
 flat work arrays allocated once per fit and viewed at the iteration's
 (alive rows, kept columns) shape. Fresh multi-megabyte temporaries per
 iteration are mapped and faulted in anew whenever the allocator hands
@@ -69,9 +69,9 @@ took 36 walk calls against 25, and 0.139 s against 0.135 s (medians of
 10 fits).
 
 Memory (tracemalloc, n=1000, m=100, d=3): the distance matrix, its
-sorted copy, the permutation and the two masks hold 22 bytes per
+sorted copy, the permutation and the run mask hold 21 bytes per
 n * (n + m) cell for the whole fit, and the work arrays 19 more. The
-peak, 49 bytes per cell (52 MiB for the 1.1 M cells), comes when a
+peak, 48 bytes per cell (51 MiB for the 1.1 M cells), comes when a
 gather or a cumulative sum converts its int32 or boolean input: numpy
 makes a transient copy of up to 8 bytes per cell. The distance
 kernel's work arrays add at most 1 MiB while n + m <= 16384 and d <= 128.
@@ -93,19 +93,20 @@ POOL = 32
 PRUNE_MIN_CELLS = 2**17
 
 
-def _sorted_masks(perm: np.ndarray, sorted_d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Target-column mask and not-the-last-of-a-run-of-equal-radii mask,
-    in sorted order."""
+def _inner_mask(sorted_d: np.ndarray) -> np.ndarray:
+    """Mask of the sorted entries that are not the last of their run of
+    equal radii."""
     inner = np.zeros(sorted_d.shape, dtype=bool)
     np.equal(sorted_d[:, 1:], sorted_d[:, :-1], out=inner[:, :-1])
-    return perm < n, inner
+    return inner
 
 
 class _WalkBuffers:
     """Flat work arrays for the walk of every iteration of one fit, sized
     for the first (largest) one and viewed as (alive rows, kept columns)."""
 
-    def __init__(self, cells: int):
+    def __init__(self, cells: int, n: int):
+        self.n = n  # columns below n are targets
         self.index = np.empty(cells, dtype=np.int32)  # gathered permutation, then count_t
         self.count_n = np.empty(cells, dtype=np.int32)
         self.live = np.empty(cells, dtype=bool)
@@ -113,11 +114,11 @@ class _WalkBuffers:
         self.inner = np.empty(cells, dtype=bool)
         self.walk = np.empty(cells, dtype=np.float64)
 
-    def first_max_walk(self, alive, perm, is_target, inner, rows, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    def first_max_walk(self, alive, perm, inner, rows, weight: float) -> tuple[np.ndarray, np.ndarray]:
         """Per row of `rows`, the sorted position of the walk's first
-        maximum over run ends, and that walk value; `perm`, `is_target`
-        and `inner` are the kept rows in sorted order, or a prefix of
-        their columns, and `rows` the alive ones to walk."""
+        maximum over run ends, and that walk value; `perm` and `inner`
+        are the kept rows in sorted order, or a prefix of their columns,
+        and `rows` the alive ones to walk."""
         shape = (len(rows), perm.shape[1])
         cells = shape[0] * shape[1]
 
@@ -128,7 +129,7 @@ class _WalkBuffers:
         # every index is in range
         index = np.take(perm, rows, axis=0, out=view(self.index), mode="clip")
         live = np.take(alive, index, out=view(self.live), mode="clip")
-        tgt = np.take(is_target, rows, axis=0, out=view(self.is_target), mode="clip")
+        tgt = np.less(index, self.n, out=view(self.is_target))
         run = np.take(inner, rows, axis=0, out=view(self.inner), mode="clip")
         count_n = np.cumsum(live, axis=1, dtype=np.int32, out=view(self.count_n))
         live &= tgt
@@ -208,8 +209,8 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     # sort each row once; between iterations only liveness changes
     perm = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
     sorted_d = np.take_along_axis(dist, perm, axis=1)
-    target_sorted, inner = _sorted_masks(perm, sorted_d, n)
-    buffers = _WalkBuffers(perm.size)
+    inner = _inner_mask(sorted_d)
+    buffers = _WalkBuffers(perm.size, n)
     row_ids = np.arange(n)  # original target index of each kept row
     alive = np.ones(n + m, dtype=bool)  # by original column
     pool = np.zeros(n, dtype=bool)  # by original target: best exact scores of the last iteration
@@ -227,7 +228,7 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
             keep = alive[perm]
             perm = perm[keep].reshape(n_alive, -1)
             sorted_d = sorted_d[keep].reshape(n_alive, -1)
-            target_sorted, inner = _sorted_masks(perm, sorted_d, n)
+            inner = _inner_mask(sorted_d)
             row_ids = row_ids[rows]
             rows = np.arange(n_alive)
         weight = m_alive / n_alive if m_alive > 0 else 1.0
@@ -238,9 +239,7 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
         def walk(at, cols):
             """Radius and score of the first walk maximum of rows[at]
             over the first `cols` sorted columns."""
-            best, walks = buffers.first_max_walk(
-                alive, perm[:, :cols], target_sorted[:, :cols], inner[:, :cols], rows[at], weight
-            )
+            best, walks = buffers.first_max_walk(alive, perm[:, :cols], inner[:, :cols], rows[at], weight)
             radii = sorted_d[rows[at], best]
             return radii, walks - _penalty(radii, dmax0[at], n_alive)
 

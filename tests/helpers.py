@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccdig.classifier import SCORE_CLAMP
+from ccdig.classifier import LARGE_GAP, SCORE_CLAMP
 from ccdig.core import as_points, check_hyper, cross_distance_matrix
 from ccdig.pccd import ClassCover, CoverBall
 
@@ -352,6 +352,19 @@ def trapezoid_roc_auc(scores, labels) -> float:
 
 def ln_bound(n: int) -> float:
     return 1.0 + math.log(n)
+
+
+def discriminant_gap(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """neg - pos with an infinite side replaced by +-LARGE_GAP and two
+    infinite sides by 0, case by case: the reference for
+    `discriminant_batch`."""
+    pos_inf = np.isinf(pos)
+    neg_inf = np.isinf(neg)
+    out = np.where(neg_inf, LARGE_GAP, np.where(pos_inf, -LARGE_GAP, 0.0))
+    both_fin = ~pos_inf & ~neg_inf
+    out[both_fin] = neg[both_fin] - pos[both_fin]
+    out[pos_inf & neg_inf] = 0.0
+    return out
 
 
 def feature_matrix(text: str, label_columns: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from ccdig.core import LabeledDataset
 from helpers import (
     argmin_label,
     array_cover,
+    discriminant_gap,
     median_leaves,
     random_instance,
     scaled_dissimilarity,
@@ -434,8 +435,8 @@ def test_scale_invariance_of_predictions():
 def test_discriminant_orders_by_membership():
     ds = separable_dataset()
     model = train(ds, "pure", tau=1.0)
-    inside_pos = discriminant_batch(model, [ds.class_points(1)[0]], positive_class=1)[0]
-    inside_neg = discriminant_batch(model, [ds.class_points(0)[0]], positive_class=1)[0]
+    inside_pos = discriminant_batch(model, [ds.points[ds.labels == 1][0]], positive_class=1)[0]
+    inside_neg = discriminant_batch(model, [ds.points[ds.labels == 0][0]], positive_class=1)[0]
     assert inside_pos > 0 > inside_neg
 
 
@@ -486,6 +487,20 @@ def test_discriminant_sentinels():
 def test_discriminant_equal_minima_is_zero():
     model = two_ball_model(r_a=1.0, r_b=1.0)
     assert discriminant_batch(model, [[1.0]], positive_class=1)[0] == 0.0
+
+
+def test_discriminant_gap_matches_the_case_by_case_oracle(monkeypatch):
+    # every pair of non-negative minima from zeros, subnormals, the largest
+    # double and inf: finite gaps, one infinite side and two
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = [0.0, -0.0, tiny, 3 * tiny, 1e-300, 0.5, 1.0, 1e300, np.finfo(np.float64).max, np.inf]
+    minima = np.array([[a, b] for a in values for b in values])
+    monkeypatch.setattr(classifier, "_batch_minima", lambda model, points: minima.copy())
+    model = two_ball_model(r_a=1.0, r_b=1.0)
+    for positive in (0, 1):
+        got = discriminant_batch(model, [[0.0]], positive_class=positive)
+        want = discriminant_gap(minima[:, positive], minima[:, 1 - positive])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_discriminant_requires_two_classes():

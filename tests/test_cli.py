@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ccdig.classifier import load_model, predict_batch
+from ccdig import cli
 from ccdig.cli import main
 from ccdig.core import parse_dataset
 from helpers import predict_csv
@@ -456,6 +457,63 @@ def test_pilot_zero_tau_means_epsilon(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert f"{float(np.finfo(np.float64).eps):.6g}" in out
+
+
+# simulate and pilot argv with the namespace each parsed to when every
+# flag was declared once per subcommand
+PARSED = [
+    (
+        ["simulate", "--setting", "shifted", "--d", "3", "--n", "200", "--q", "0.1,1", "--delta", "0.1",
+         "--threads", "1"],
+        None,
+        {"command": "simulate", "setting": "shifted", "d": 3, "n": 200, "q": "0.1,1", "m": None, "delta": "0.1",
+         "alpha": None, "classifiers": "pcccd,rwcccd,knn", "tau": 0.5, "e": 1.0, "k": 5, "test_per_class": 100,
+         "se_target": 0.0005, "max_reps": 200, "seed": 0, "threads": 1, "score_mode": "label", "out": None,
+         "func": cli.cmd_simulate},
+    ),
+    (
+        ["simulate", "--setting", "balanced_overlap", "--d", "2", "--n", "50", "--m", "10,20", "--alpha", "0.3",
+         "--classifiers", "rwcccd", "--e", "0.5", "--test-per-class", "40", "--se-target", "0", "--max-reps", "6",
+         "--seed", "9", "--threads", "2", "--score-mode", "continuous", "--out", "r.csv"],
+        None,
+        {"command": "simulate", "setting": "balanced_overlap", "d": 2, "n": 50, "q": None, "m": "10,20",
+         "delta": None, "alpha": "0.3", "classifiers": "rwcccd", "tau": 0.5, "e": 0.5, "k": 5, "test_per_class": 40,
+         "se_target": 0.0, "max_reps": 6, "seed": 9, "threads": 2, "score_mode": "continuous", "out": "r.csv",
+         "func": cli.cmd_simulate},
+    ),
+    (
+        ["pilot", "--setting", "embedded", "--d", "2", "--n", "100", "--family", "pcccd", "--grid", "0,0.5,1"],
+        None,
+        {"command": "pilot", "setting": "embedded", "d": 2, "n": 100, "q": 1.0, "delta": None, "alpha": None,
+         "family": "pcccd", "grid": "0,0.5,1", "reps": 200, "test_per_class": 100, "seed": 0, "score_mode": "label",
+         "func": cli.cmd_pilot},
+    ),
+    (
+        ["pilot", "--setting", "embedded", "--d", "2", "--n", "100", "--family", "knn", "--grid", "1,3"],
+        "7",
+        {"command": "pilot", "setting": "embedded", "d": 2, "n": 100, "q": 1.0, "delta": None, "alpha": None,
+         "family": "knn", "grid": "1,3", "reps": 200, "test_per_class": 100, "seed": 7, "score_mode": "label",
+         "func": cli.cmd_pilot},
+    ),
+    (
+        ["pilot", "--setting", "disjoint", "--d", "1", "--n", "8", "--q", "0.5", "--delta", "0.5", "--family",
+         "rwccd", "--grid", "0,1", "--reps", "3", "--test-per-class", "8", "--seed", "4", "--score-mode",
+         "continuous"],
+        None,
+        {"command": "pilot", "setting": "disjoint", "d": 1, "n": 8, "q": 0.5, "delta": 0.5, "alpha": None,
+         "family": "rwccd", "grid": "0,1", "reps": 3, "test_per_class": 8, "seed": 4, "score_mode": "continuous",
+         "func": cli.cmd_pilot},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, seed_env, expected", PARSED)
+def test_shared_flags_parse_as_before(monkeypatch, argv, seed_env, expected):
+    if seed_env is None:
+        monkeypatch.delenv("CCDIG_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CCDIG_SEED", seed_env)
+    assert vars(cli.build_parser().parse_args(argv)) == expected
 
 
 def test_unknown_subcommand_is_usage_error():

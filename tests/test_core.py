@@ -257,7 +257,7 @@ def test_labeled_dataset_is_frozen():
     with pytest.raises(ValueError):
         ds.points[0, 0] = 5.0
     assert ds.class_counts.tolist() == [1, 1]
-    np.testing.assert_array_equal(ds.class_points(1), [[1.0]])
+    np.testing.assert_array_equal(ds.points[ds.labels == 1], [[1.0]])
 
 
 def test_parse_feature_csv():

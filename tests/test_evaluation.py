@@ -1,6 +1,8 @@
 """Tests for AUC, the k-NN baseline, overlap metrics and the harness."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -370,6 +372,64 @@ def test_run_simulation_balanced_overlap_setting():
     assert report_rows(report)[0]["delta_or_alpha"] == "0.3"
 
 
+def test_rwcccd_specs_share_one_fit_per_replication(monkeypatch):
+    fits = []
+    real_train = evaluation.train
+
+    def counting(data, variant, **hyper):
+        fits.append(variant)
+        return real_train(data, variant, **hyper)
+
+    monkeypatch.setattr(evaluation, "train", counting)
+    cfg = small_config(d=2, n=30, m=20, test_per_class=30, max_test_reps=4)
+    specs = (ClassifierSpec("rwcccd", 0.3, label="e=0.3"), ClassifierSpec("rwcccd", 1.0, label="e=1"))
+    both = run_simulation(cfg, specs, score_mode="continuous")
+    assert fits == ["random_walk"] * cfg.max_test_reps
+    assert both.results[0].aucs != both.results[1].aucs  # each spec scores with its own e
+    for spec, result in zip(specs, both.results):
+        assert run_simulation(cfg, [spec], score_mode="continuous").results == (result,)
+
+
+def _slow_after(monkeypatch, fast: int, fail_at=None):
+    """Count the replications started, under a lock; replications from
+    `fast` on sleep first, so they hold every worker while the consumer
+    reaches its stop, and `fail_at` raises."""
+    lock = threading.Lock()
+    started = []
+    real = evaluation.sample_replication
+
+    def counting(config, rep):
+        with lock:
+            started.append(rep)
+        if rep == fail_at:
+            raise RuntimeError("replication failed")
+        if rep >= fast:
+            time.sleep(0.2)
+        return real(config, rep)
+
+    monkeypatch.setattr(evaluation, "sample_replication", counting)
+    return started
+
+
+def test_se_stop_cancels_the_replications_not_started(monkeypatch):
+    started = _slow_after(monkeypatch, fast=2)
+    threads = 2
+    report = run_simulation(small_config(se_target=1.0, max_test_reps=50), SPECS, threads=threads)
+    assert report.reps == 2
+    # the slow replications hold both workers until the stop cancels the rest
+    assert len(started) <= report.reps + threads
+
+
+def test_a_failed_replication_cancels_the_replications_not_started(monkeypatch):
+    started = _slow_after(monkeypatch, fast=2, fail_at=1)
+    threads = 2
+    with pytest.raises(RuntimeError, match="replication failed"):
+        run_simulation(small_config(max_test_reps=50), SPECS, threads=threads)
+    # 2 * threads + 1 replications were submitted, the last after replication
+    # 0 was consumed; each worker starts at most one of those after 0 and 1
+    assert len(started) <= 2 * threads
+
+
 def test_run_simulation_needs_classifiers():
     with pytest.raises(ValueError):
         run_simulation(small_config(), [])
@@ -449,6 +509,22 @@ def test_pilot_validation(monkeypatch):
         pilot_study(cfg, "knn", [1, 10**400], reps=5)
 
 
+@pytest.mark.parametrize("score_mode", ["label", "continuous"])
+@pytest.mark.parametrize(
+    "family, grid", [("pcccd", [0.2, 0.6, 1.0]), ("rwcccd", [0.0, 0.5, 1.0]), ("knn", [1, 3, 5])]
+)
+def test_pilot_counts_the_winners_of_run_simulation(family, grid, score_mode):
+    cfg = small_config(d=2, n=20, m=10, test_per_class=20)  # se_target 0: runs to the cap
+    specs = [ClassifierSpec(family, v) for v in grid]
+    report = run_simulation(cfg, specs, score_mode=score_mode)
+    counts = [0] * len(grid)
+    for aucs in zip(*(result.aucs for result in report.results)):
+        for i, value in enumerate(aucs):
+            counts[i] += value == max(aucs)
+    study = pilot_study(cfg, family, grid, reps=cfg.max_test_reps, score_mode=score_mode)
+    assert study.counts == tuple(counts)
+
+
 def test_pilot_low_dimension_prefers_small_tau():
     # embedded boxes in d=2: the walk of best tau values concentrates low
     cfg = SimulationConfig(setting="embedded", d=2, n=100, m=100, test_per_class=100, base_seed=2)
@@ -467,12 +543,6 @@ def test_reduction_stats_ratio():
     assert [s.class_id for s in stats] == [0, 1]
     assert stats[0].n_train == len(X)
     assert stats[0].ratio == stats[0].n_prototypes / len(X)
-    override = reduction_stats(model, train_sizes=(100, 200))
-    assert override[0].n_train == 100
-    with pytest.raises(ValueError):
-        reduction_stats(model, train_sizes=(1,))
-    with pytest.raises(ValueError, match="at least 1"):
-        reduction_stats(model, train_sizes=(0, -3))
 
 
 def test_pure_covers_keep_more_prototypes_than_rw_when_overlapping():

@@ -292,9 +292,9 @@ def test_rw_cover_pruning_halves_the_walked_cells(monkeypatch):
     walked = []
     first_max_walk = rwccd._WalkBuffers.first_max_walk
 
-    def counting(self, alive, perm, is_target, inner, rows, weight):
+    def counting(self, alive, perm, inner, rows, weight):
         walked.append(len(rows) * perm.shape[1])
-        return first_max_walk(self, alive, perm, is_target, inner, rows, weight)
+        return first_max_walk(self, alive, perm, inner, rows, weight)
 
     monkeypatch.setattr(rwccd._WalkBuffers, "first_max_walk", counting)
     pruned = rw_cover(X, Y)
