@@ -18,7 +18,6 @@ from .classifier import (
 from .core import (
     LabeledDataset,
     cross_distance_matrix,
-    dataset_to_csv,
     parse_dataset,
     sample_uniform_box,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "auc",
     "build_pccd_digraph",
     "cross_distance_matrix",
-    "dataset_to_csv",
     "greedy_dominating_set",
     "knn_predict_batch",
     "knn_scores",

@@ -448,7 +448,11 @@ def model_to_json(model: CccdModel) -> str:
 
 
 def model_from_json(text: str) -> CccdModel:
-    return model_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("invalid model: JSON nested too deeply") from None
+    return model_from_dict(doc)
 
 
 def save_model(model: CccdModel, path) -> None:

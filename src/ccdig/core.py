@@ -296,17 +296,6 @@ def parse_dataset(text) -> LabeledDataset:
     )
 
 
-def dataset_to_csv(ds: LabeledDataset) -> str:
-    """Serialize a dataset back to CSV; floats keep full round-trip precision."""
-    feats = ds.feature_names or tuple(f"x{j + 1}" for j in range(ds.dim))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(feats) + [ds.label_column])
-    for pt, lab in zip(ds.points, ds.labels):
-        writer.writerow([repr(float(v)) for v in pt] + [ds.label_names[lab]])
-    return out.getvalue()
-
-
 def parse_feature_csv(text) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a label-free CSV of numeric features (header required)."""
     header, points, _ = _read_rows(text, 0)

@@ -17,7 +17,9 @@ decision quality; fine-grained scores close most of the gaps.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -374,36 +376,23 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
 def _replications(config: SimulationConfig, classifiers, score_mode: str, reps: int, threads: int):
     """The results of replications 0 .. reps-1, yielded in order.
 
-    With more than one thread, up to 2 * threads replications run ahead
-    on a pool; the next is submitted only once the consumer asks for
-    more. Results are still yielded strictly in order, so they match the
-    sequential run with any thread count. Closing the generator, or a
-    replication raising, cancels every replication not yet started.
+    With more than one worker (threads, capped at reps and the CPU
+    count), the replications run on a pool; results are still yielded
+    strictly in order, so they match the sequential run with any thread
+    count. Closing the generator, or a replication raising, cancels
+    every replication not yet started.
     """
-    if threads <= 1:
-        for rep in range(reps):
-            yield _run_replication(config, classifiers, rep, score_mode)
+    run = functools.partial(_run_replication, config, classifiers, score_mode=score_mode)
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(run, range(reps))
         return
     # imported here, so that importing ccdig does not load concurrent.futures
     # and the logging and queue modules it pulls in
     from concurrent.futures import ThreadPoolExecutor
 
-    window = 2 * threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            rep: pool.submit(_run_replication, config, classifiers, rep, score_mode)
-            for rep in range(min(window, reps))
-        }
-        try:
-            for rep in range(reps):
-                yield futures.pop(rep).result()
-                if rep + window < reps:
-                    futures[rep + window] = pool.submit(
-                        _run_replication, config, classifiers, rep + window, score_mode
-                    )
-        finally:
-            for future in futures.values():
-                future.cancel()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run, range(reps))
 
 
 def _se(values) -> float:

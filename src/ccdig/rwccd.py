@@ -20,21 +20,24 @@ selection order.
 `rw_cover` sorts each row of the (n, n + m) target-to-all distance
 matrix once per fit (stable argsort, int32 permutation) and keeps, in
 sorted order, a mask of the entries that are not the last of their run
-of equal radii. Between iterations only liveness changes: each
-iteration gathers the permutation of the alive rows, reads from it the
-alive-column indicator and the target mask (column < n), and
-cumulative sums of these give every candidate radius its alive-target
-and alive-non-target counts. Only run ends are candidates; a run of
-covered points alone repeats the walk value of the run before it, so
-the first maximum is the smallest alive radius, exactly as if the alive
-submatrix had been sorted afresh. Once fewer than half the kept columns
-are alive, the permutation and the sorted distances shrink to the alive
-rows and columns, so iterations get cheaper as the cover grows. The walk of every iteration is computed in
-flat work arrays allocated once per fit and viewed at the iteration's
-(alive rows, kept columns) shape. Fresh multi-megabyte temporaries per
-iteration are mapped and faulted in anew whenever the allocator hands
-such sizes to mmap: on a 2-core host the n=1000, m=100 fit then took
-3.5 s and 460k minor faults, against 2.1 s and 13k with the buffers.
+of equal radii. Rows stay whole and indexed by original target: between
+iterations only liveness changes. Each iteration gathers the permutation
+of the alive rows, reads from it the alive-column indicator and the
+target mask (column < n), and cumulative sums of these give every
+candidate radius its alive-target and alive-non-target counts. Only run
+ends are candidates; a run of covered points alone repeats the walk
+value of the run before it, so the first maximum is the smallest alive
+radius, exactly as if the alive submatrix had been sorted afresh. A
+pick's closed ball is a prefix of its center's sorted row, which holds
+every point within the radius, covered or not; so the purity and
+properness flags come from the points each pick covers, and the
+distance matrix is dropped once its rows are sorted. The walk of every
+iteration is computed in flat work arrays allocated once per fit and
+viewed at the iteration's (alive rows, n + m) shape. Fresh
+multi-megabyte temporaries per iteration are mapped and faulted in anew
+whenever the allocator hands such sizes to mmap: on a 2-core host the
+n=1000, m=100 fit then took 3.5 s and 460k minor faults, against 2.1 s
+and 13k with the buffers.
 
 Most rows need not be walked in full, because the length penalty grows
 with the radius. Every walk value fl(w * count_t) - count_n is at most
@@ -54,28 +57,25 @@ scores below S and can neither win nor tie. The pick, its radius and
 its score are the full walk's, including the lowest-index tie rule.
 
 Pruning engages only where it pays. An iteration with fewer than
-PRUNE_MIN_CELLS (alive rows x kept columns) cells walks every row in
-full, and so does the iteration after one where pruning did not halve
-the cells walked. An iteration whose prefix alone would not halve them
-walks the other rows in full at once. The constant, 2**17, is the
-measured crossover (2-core host, medians of 15-40 fits): at 2**16,
+PRUNE_MIN_CELLS (alive rows x alive columns) cells walks every row in
+full, and an iteration whose prefix alone would not halve the cells
+walked walks the other rows in full at once. The constant, 2**17, is
+the measured crossover (2-core host, medians of 15-40 fits): at 2**16,
 n=300, m=30 covers gained 20%, but balanced n=m=200 covers lost up to
 5% and an n=200 `simulate` over four class ratios 3%; at 2**17 the
-n=200 fits never prune. On the n=1000, m=100 class cover
-(2-core host) the walked cells fell from 139.9 M to 34.8 M and the
-cover from 2.1 s to 0.79 s. Balanced sets, where the bound rarely cuts,
-walk the same cells as before in a few more calls: at n=m=400 the cover
-took 36 walk calls against 25, and 0.139 s against 0.135 s (medians of
-10 fits).
+n=200 fits never prune. On the n=1000, m=100 class cover the walked
+cells fall from 124.7 M, every row in full, to 36.4 M.
 
-Memory (tracemalloc, n=1000, m=100, d=3): the distance matrix, its
-sorted copy, the permutation and the run mask hold 21 bytes per
-n * (n + m) cell for the whole fit, and the work arrays 19 more. The
-peak, 48 bytes per cell (51 MiB for the 1.1 M cells), comes when a
-gather or a cumulative sum converts its int32 or boolean input: numpy
-makes a transient copy of up to 8 bytes per cell. The distance
-kernel's work arrays add at most 1 MiB while n + m <= 16384 and d <= 128.
-Pruning reuses the work arrays and adds only per-row arrays.
+Memory (tracemalloc, d=3): the sorted distances, the permutation and
+the run mask hold 13 bytes per n * (n + m) cell for the whole fit, and
+the work arrays 19 more. The distance matrix lives only until its rows
+are sorted (20 bytes per cell at most, with the int64 argsort). The
+peak, 40 bytes per cell (42.2 MiB at n=1000, m=100 and 49.1 MiB at
+n=m=800), comes when a gather or a cumulative sum converts its int32 or
+boolean input: numpy makes a transient copy of up to 8 bytes per cell.
+The distance kernel's work arrays add at most 1 MiB while
+n + m <= 16384 and d <= 128. Pruning reuses the work arrays and adds
+only per-row arrays.
 """
 
 from __future__ import annotations
@@ -88,22 +88,14 @@ from .pccd import ClassCover
 # rows walked in full first, to set the floor that prunes the others;
 # 16 and 64 were 7% and 1% slower than 32 on the n=1000, m=100 cover
 POOL = 32
-# iterations with fewer (alive rows x kept columns) cells walk every row
+# iterations with fewer (alive rows x alive columns) cells walk every row
 # in full; the module notes give the measured crossover
 PRUNE_MIN_CELLS = 2**17
 
 
-def _inner_mask(sorted_d: np.ndarray) -> np.ndarray:
-    """Mask of the sorted entries that are not the last of their run of
-    equal radii."""
-    inner = np.zeros(sorted_d.shape, dtype=bool)
-    np.equal(sorted_d[:, 1:], sorted_d[:, :-1], out=inner[:, :-1])
-    return inner
-
-
 class _WalkBuffers:
     """Flat work arrays for the walk of every iteration of one fit, sized
-    for the first (largest) one and viewed as (alive rows, kept columns)."""
+    for the first (largest) one and viewed as (alive rows, columns)."""
 
     def __init__(self, cells: int, n: int):
         self.n = n  # columns below n are targets
@@ -117,8 +109,8 @@ class _WalkBuffers:
     def first_max_walk(self, alive, perm, inner, rows, weight: float) -> tuple[np.ndarray, np.ndarray]:
         """Per row of `rows`, the sorted position of the walk's first
         maximum over run ends, and that walk value; `perm` and `inner`
-        are the kept rows in sorted order, or a prefix of their columns,
-        and `rows` the alive ones to walk."""
+        are the sorted rows, or a prefix of their columns, and `rows` the
+        alive ones to walk."""
         shape = (len(rows), perm.shape[1])
         cells = shape[0] * shape[1]
 
@@ -188,9 +180,9 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     penalty at a sorted column bounds every score from that column on.
     The other rows are walked up to the first column where every bound
     is below S, and only those whose prefix score reaches S are walked
-    in full. Iterations under PRUNE_MIN_CELLS cells, and the one after
-    an attempt that did not halve the cells walked, walk every row in
-    full. Every pick, radius and score is the full walk's.
+    in full. Iterations under PRUNE_MIN_CELLS cells (alive rows x alive
+    columns) walk every row in full. Every pick, radius and score is the
+    full walk's.
     """
     X = as_points(targets)
     n = len(X)
@@ -209,32 +201,23 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     # sort each row once; between iterations only liveness changes
     perm = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
     sorted_d = np.take_along_axis(dist, perm, axis=1)
-    inner = _inner_mask(sorted_d)
+    del dist
+    n_cols = n + m
+    inner = np.zeros(sorted_d.shape, dtype=bool)  # not the last of its run of equal radii
+    np.equal(sorted_d[:, 1:], sorted_d[:, :-1], out=inner[:, :-1])
     buffers = _WalkBuffers(perm.size, n)
-    row_ids = np.arange(n)  # original target index of each kept row
-    alive = np.ones(n + m, dtype=bool)  # by original column
+    alive = np.ones(n_cols, dtype=bool)  # by original column
+    hit = np.zeros(n_cols, dtype=bool)  # covered by a ball of positive radius
     pool = np.zeros(n, dtype=bool)  # by original target: best exact scores of the last iteration
-    prune = False  # whether this iteration may walk prefixes only
     picks: list[tuple[int, float, float]] = []  # (center, radius, score) in selection order
     while True:
-        rows = np.flatnonzero(alive[row_ids])
+        rows = np.flatnonzero(alive[:n])  # original targets = rows of perm and sorted_d
         n_alive = len(rows)
         if n_alive == 0:
             break
         m_alive = int(np.count_nonzero(alive[n:]))
-        if 2 * (n_alive + m_alive) < perm.shape[1]:
-            # drop dead rows and columns; each row keeps its sorted order
-            perm, sorted_d = perm[rows], sorted_d[rows]
-            keep = alive[perm]
-            perm = perm[keep].reshape(n_alive, -1)
-            sorted_d = sorted_d[keep].reshape(n_alive, -1)
-            inner = _inner_mask(sorted_d)
-            row_ids = row_ids[rows]
-            rows = np.arange(n_alive)
         weight = m_alive / n_alive if m_alive > 0 else 1.0
-        idx0 = row_ids[rows]
-        dmax0 = d_max[idx0]
-        n_cols = perm.shape[1]
+        dmax0 = d_max[rows]
 
         def walk(at, cols):
             """Radius and score of the first walk maximum of rows[at]
@@ -244,9 +227,9 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
             return radii, walks - _penalty(radii, dmax0[at], n_alive)
 
         cells = n_alive * n_cols
-        # cells only shrink, so after the first small iteration none prunes
-        big = cells >= PRUNE_MIN_CELLS
-        if prune and big and 0 < np.count_nonzero(pooled := pool[idx0]) < n_alive:
+        # live cells only shrink, so after the first small iteration none prunes
+        big = n_alive * (n_alive + m_alive) >= PRUNE_MIN_CELLS
+        if big and 0 < np.count_nonzero(pooled := pool[rows]) < n_alive:
             exact, rest = np.flatnonzero(pooled), np.flatnonzero(~pooled)
             radii = np.zeros(n_alive)
             scores = np.full(n_alive, -np.inf)  # -inf: cannot win or tie
@@ -257,31 +240,26 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
             if 2 * (len(exact) * n_cols + len(rest) * cut) > cells:
                 # the prefixes alone would not halve the cells walked
                 radii[rest], scores[rest] = walk(rest, n_cols)
-                prune = False
             else:
                 verify = rest[walk(rest, cut)[1] >= floor]
                 radii[verify], scores[verify] = walk(verify, n_cols)
-                walked = (len(exact) + len(verify)) * n_cols + len(rest) * cut
-                prune = 2 * walked <= cells
         else:
             radii, scores = walk(slice(None), n_cols)
-            prune = True
         k = int(np.argmax(scores))  # first max = lowest original index
         if big:
             top = np.argsort(scores)[-POOL:]
             pool[:] = False
-            pool[idx0[top[np.isfinite(scores[top])]]] = True
-        center = int(idx0[k])
+            pool[rows[top[np.isfinite(scores[top])]]] = True
+        center = int(rows[k])
         r_star = float(radii[k])
         picks.append((center, r_star, float(scores[k])))
-        # the closed ball is a prefix of the center's sorted row
-        n_covered = np.searchsorted(sorted_d[rows[k]], r_star, side="right")
-        alive[perm[rows[k], :n_covered]] = False
+        # the closed ball is a prefix of the center's sorted row, dead points included
+        covered = perm[center, : np.searchsorted(sorted_d[center], r_star, side="right")]
+        alive[covered] = False
+        hit[covered] |= r_star > 0  # a zero-radius closed ball covers nothing
     sel, r_sel, s_sel = (np.array(column) for column in zip(*picks))
-    is_pure = m == 0 or not np.any(dist[sel][:, n:] <= r_sel[:, None])
-    # a zero-radius closed ball covers nothing
-    is_proper = np.any((dist[sel, :n] <= r_sel[:, None]) & (r_sel[:, None] > 0), axis=0).all()
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, scores=s_sel,
-        is_pure=is_pure, is_proper=is_proper,
+        is_pure=alive[n:].all(),  # no non-target lies in a closed ball
+        is_proper=hit[:n].all(),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccdig.classifier import LARGE_GAP, SCORE_CLAMP
-from ccdig.core import as_points, check_hyper, cross_distance_matrix
+from ccdig.core import LabeledDataset, as_points, check_hyper, cross_distance_matrix
 from ccdig.pccd import ClassCover, CoverBall
 
 
@@ -295,6 +295,21 @@ def naive_rw_trace(targets, nontargets, with_alive=False):
     return (trace, alive) if with_alive else trace
 
 
+def rw_cover_flags(targets, nontargets, center_index, radii) -> tuple[bool, bool]:
+    """(is_pure, is_proper) of a random-walk cover from its centers'
+    distances to every point: no non-target lies in a closed ball, and
+    every target lies in a closed ball of positive radius (a zero-radius
+    ball covers nothing). The reference for `rw_cover`'s flags."""
+    X = as_points(targets)
+    Y = np.asarray(nontargets, dtype=np.float64).reshape(-1, X.shape[1])
+    n = len(X)
+    dist = cross_distance_matrix(X[center_index], np.vstack([X, Y]))
+    r = np.asarray(radii)[:, None]
+    is_pure = not np.any(dist[:, n:] <= r)
+    is_proper = bool(np.any((dist[:, :n] <= r) & (r > 0), axis=0).all())
+    return is_pure, is_proper
+
+
 def argmin_label(minima, class_counts) -> int:
     """Reference tie-break of one row of per-class minima: the argmin,
     ties broken toward the larger class, then the lower id."""
@@ -365,6 +380,19 @@ def discriminant_gap(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     out[both_fin] = neg[both_fin] - pos[both_fin]
     out[pos_inf & neg_inf] = 0.0
     return out
+
+
+def dataset_to_csv(ds: LabeledDataset) -> str:
+    """A dataset written back to CSV, one `repr(float)` per coordinate so
+    that floats keep full round-trip precision: the oracle of the parser's
+    round-trip tests."""
+    feats = ds.feature_names or tuple(f"x{j + 1}" for j in range(ds.dim))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(feats) + [ds.label_column])
+    for pt, lab in zip(ds.points, ds.labels):
+        writer.writerow([repr(float(v)) for v in pt] + [ds.label_names[lab]])
+    return out.getvalue()
 
 
 def feature_matrix(text: str, label_columns: int) -> np.ndarray:

@@ -30,7 +30,6 @@ def test_public_surface_is_pinned():
         "auc",
         "build_pccd_digraph",
         "cross_distance_matrix",
-        "dataset_to_csv",
         "greedy_dominating_set",
         "knn_predict_batch",
         "knn_scores",

@@ -246,6 +246,54 @@ def test_predict_malformed_model_is_data_error(toy_csv, tmp_path, capsys, varian
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_predict_deeply_nested_model_is_data_error(tmp_path, capsys):
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 100_000 + "]" * 100_000)
+    feats = features_csv(tmp_path, [(1, 1)])
+    code = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid model: JSON nested too deeply"]
+    assert not (tmp_path / "p.csv").exists()
+
+
+MUTANTS = [None, True, False, 0, -1, 2.5, 10**400, float("nan"), float("inf"), "x", [], [1, 2], {}, {"a": 1}]
+
+
+def _mutate(doc, rng):
+    """Replace one randomly chosen value of the document by a value of
+    another type or range, or delete a key or a list item."""
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and len(node) and (parent is None or rng.random() < 0.75):
+        parent = node
+        key = rng.choice(sorted(node)) if isinstance(node, dict) else int(rng.integers(len(node)))
+        node = parent[key]
+    if rng.random() < 0.2:
+        del parent[key]
+    else:
+        parent[key] = MUTANTS[rng.integers(len(MUTANTS))]
+    return doc
+
+
+@pytest.mark.parametrize("variant", ["pure", "random_walk"])
+def test_predict_mutated_models_end_in_one_line(toy_csv, tmp_path, capsys, variant):
+    # a mutated model either still loads and predicts, or is refused with
+    # one error line; never a traceback
+    model, doc = _trained_model_doc(toy_csv, tmp_path, variant)
+    feats = features_csv(tmp_path, [(1, 1), (5, 5)])
+    rng = np.random.default_rng(7)
+    codes = set()
+    for _ in range(300):
+        model.write_text(json.dumps(_mutate(json.loads(json.dumps(doc)), rng)))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(tmp_path / "p.csv")])
+        assert code in (0, 1)
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+        codes.add(code)
+    assert codes == {0, 1}
+
+
 def simulate_args(tmp_path, out="report.csv", seed="11", threads="1"):
     return [
         "simulate",

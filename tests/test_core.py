@@ -14,12 +14,11 @@ from ccdig.core import (
     LabeledDataset,
     check_hyper,
     cross_distance_matrix,
-    dataset_to_csv,
     parse_dataset,
     parse_feature_csv,
     sample_uniform_box,
 )
-from helpers import broadcast_distance_matrix, distance, feature_matrix
+from helpers import broadcast_distance_matrix, dataset_to_csv, distance, feature_matrix
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 

@@ -331,6 +331,35 @@ def test_run_simulation_threads_match_sequential():
     assert a == b
 
 
+@pytest.mark.parametrize("cpus, reps, pools", [(64, 5, [5]), (3, 6, [3]), (None, 6, [])])
+def test_threads_are_capped_at_the_reps_and_the_cpu_count(monkeypatch, cpus, reps, pools):
+    import concurrent.futures
+
+    recorded = []
+
+    class InlineExecutor:
+        """Records `max_workers` and runs `map` in the calling thread."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
+    cfg = small_config(max_test_reps=reps)
+    report = run_simulation(cfg, SPECS, threads=10**6)
+    assert recorded == pools  # one CPU (or an unknown count) runs in the caller
+    assert report == run_simulation(cfg, SPECS, threads=1)
+
+
 def test_run_simulation_report_shape():
     report = run_simulation(small_config(), SPECS)
     assert report.reps == 6
@@ -425,8 +454,8 @@ def test_a_failed_replication_cancels_the_replications_not_started(monkeypatch):
     threads = 2
     with pytest.raises(RuntimeError, match="replication failed"):
         run_simulation(small_config(max_test_reps=50), SPECS, threads=threads)
-    # 2 * threads + 1 replications were submitted, the last after replication
-    # 0 was consumed; each worker starts at most one of those after 0 and 1
+    # every replication is submitted at once; while replication 1 raises and
+    # the consumer cancels the queue, each worker starts at most one more
     assert len(started) <= 2 * threads
 
 

@@ -1,10 +1,11 @@
 """Tests for random-walk covers: walk profiles, radius choice, greedy cover."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdig import rwccd
@@ -15,6 +16,7 @@ from helpers import (
     brute_force_walk,
     naive_rw_trace,
     random_instance,
+    rw_cover_flags,
     rw_profile,
     rw_radius,
     rw_score,
@@ -255,12 +257,53 @@ def test_rw_cover_lattice_without_nontargets_matches_naive_trace_when_pruned(ins
     _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
 
 
+@settings(max_examples=100, deadline=None)
+@given(inst=lattice_instance())
+# a point shared by both classes and a zero-radius pick; no non-targets
+@example(inst=(np.array([[0.0], [1.0], [1.1]]), np.array([[0.0], [5.0]])))
+@example(inst=(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]]), np.empty((0, 2))))
+def test_rw_cover_flags_match_the_distance_formulas(inst):
+    X, Y = inst
+    cover = rw_cover(X, Y)
+    assert (cover.is_pure, cover.is_proper) == rw_cover_flags(X, Y, cover.center_index, cover.radii)
+
+
+def test_rw_cover_flags_cover_both_outcomes():
+    # seeded lattices whose covers are impure, improper or both pure and
+    # proper, so the flags meet their oracle on every outcome
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, (12, 2)).astype(float)
+        Y = rng.integers(0, 3, (seed % 8, 2)).astype(float)
+        cover = rw_cover(X, Y)
+        flags = (cover.is_pure, cover.is_proper)
+        assert flags == rw_cover_flags(X, Y, cover.center_index, cover.radii)
+        seen.add(flags)
+    assert {(False, True), (True, False), (True, True)} <= seen
+
+
+def test_rw_cover_peak_memory_per_cell():
+    # the sorted distances, the permutation and the run mask live for the
+    # whole fit and the distance matrix does not; about 41 bytes per cell
+    rng = np.random.default_rng(0)
+    X, Y = rng.random((400, 3)), 0.1 + rng.random((40, 3))
+    tracemalloc.start()
+    try:
+        rw_cover(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * len(X) * (len(X) + len(Y))
+
+
 def test_rw_cover_matches_naive_trace_through_repeated_compaction():
     rng = np.random.default_rng(2)
     X, Y = rng.random((60, 2)), rng.random((40, 2))
     trace, alive = naive_rw_trace(X, Y, with_alive=True)
-    # the cover keeps the sorted rows of the points alive at its last
-    # compaction and compacts again once fewer than half of them are alive
+    # the alive points fall below half of those alive at the last such fall
+    # at least twice, so late iterations walk rows whose columns are mostly
+    # covered points (a cover that compacted its rows did so each time)
     kept, compactions = len(X) + len(Y), 0
     for alive_t, alive_n in alive:
         if 2 * (len(alive_t) + len(alive_n)) < kept:
