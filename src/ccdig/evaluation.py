@@ -60,7 +60,7 @@ def auc(scores, labels) -> float:
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise ValueError("both label values must be present")
-    order = np.argsort(s, kind="stable")
+    order = np.argsort(s)  # each run gets its mean rank, whatever its order
     ss = s[order]
     starts = np.concatenate([[0], np.flatnonzero(ss[1:] != ss[:-1]) + 1])
     ends = np.concatenate([starts[1:], [len(ss)]])
@@ -377,10 +377,12 @@ def _replications(config: SimulationConfig, classifiers, score_mode: str, reps: 
     """The results of replications 0 .. reps-1, yielded in order.
 
     With more than one worker (threads, capped at reps and the CPU
-    count), the replications run on a pool; results are still yielded
-    strictly in order, so they match the sequential run with any thread
-    count. Closing the generator, or a replication raising, cancels
-    every replication not yet started.
+    count), the replications run on a pool, one per worker at a time, and
+    are still yielded strictly in order, so they match the sequential run
+    with any thread count. A batch is submitted once the last is consumed
+    (`Executor.map` submits all it is given), so a large `reps` costs
+    nothing up front, and closing the generator, or a replication
+    raising, starts no later batch.
     """
     run = functools.partial(_run_replication, config, classifiers, score_mode=score_mode)
     workers = min(threads, reps, os.cpu_count() or 1)
@@ -392,7 +394,8 @@ def _replications(config: SimulationConfig, classifiers, score_mode: str, reps: 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run, range(reps))
+        for start in range(0, reps, workers):
+            yield from pool.map(run, range(start, min(start + workers, reps)))
 
 
 def _se(values) -> float:

@@ -18,16 +18,23 @@ balls cover nothing, not even their own center). The cover is a
 selection order.
 
 `rw_cover` sorts each row of the (n, n + m) target-to-all distance
-matrix once per fit (stable argsort, int32 permutation) and keeps, in
-sorted order, a mask of the entries that are not the last of their run
-of equal radii. Rows stay whole and indexed by original target: between
-iterations only liveness changes. Each iteration gathers the permutation
-of the alive rows, reads from it the alive-column indicator and the
-target mask (column < n), and cumulative sums of these give every
-candidate radius its alive-target and alive-non-target counts. Only run
-ends are candidates; a run of covered points alone repeats the walk
-value of the run before it, so the first maximum is the smallest alive
-radius, exactly as if the alive submatrix had been sorted afresh. A
+matrix once per fit (int32 permutation) and keeps, in sorted order, a
+mask of the entries that are not the last of their run of equal radii.
+The sort need not be stable, because the cover never reads the order of
+the points inside a run. It reads only three things from a sorted row:
+run ends, through the mask; whole-run prefixes, since a closed ball ends
+at `searchsorted(..., side="right")`; and the sorted values, through
+`_cutoff`. A walk over a prefix cut inside a run masks the truncated run
+as inner, so no partial run's count is read.
+
+Rows stay whole and indexed by original target: between iterations only
+liveness changes. Each iteration gathers the permutation of the alive
+rows, reads from it the alive-column indicator and the target mask
+(column < n), and cumulative sums of these give every candidate radius
+its alive-target and alive-non-target counts. Only run ends are
+candidates; a run of covered points alone repeats the walk value of the
+run before it, so the first maximum is the smallest alive radius,
+exactly as if the alive submatrix had been sorted afresh. A
 pick's closed ball is a prefix of its center's sorted row, which holds
 every point within the radius, covered or not; so the purity and
 properness flags come from the points each pick covers, and the
@@ -58,13 +65,12 @@ its score are the full walk's, including the lowest-index tie rule.
 
 Pruning engages only where it pays. An iteration with fewer than
 PRUNE_MIN_CELLS (alive rows x alive columns) cells walks every row in
-full, and an iteration whose prefix alone would not halve the cells
-walked walks the other rows in full at once. The constant, 2**17, is
-the measured crossover (2-core host, medians of 15-40 fits): at 2**16,
-n=300, m=30 covers gained 20%, but balanced n=m=200 covers lost up to
-5% and an n=200 `simulate` over four class ratios 3%; at 2**17 the
-n=200 fits never prune. On the n=1000, m=100 class cover the walked
-cells fall from 124.7 M, every row in full, to 36.4 M.
+full. The constant, 2**17, is the measured crossover (2-core host,
+medians of 15-40 fits): at 2**16, n=300, m=30 covers gained 20%, but
+balanced n=m=200 covers lost up to 5% and an n=200 `simulate` over four
+class ratios 3%; at 2**17 the n=200 fits never prune. On the n=1000,
+m=100 class cover the walked cells fall from 124.7 M, every row in
+full, to 35.0 M.
 
 Memory (tracemalloc, d=3): the sorted distances, the permutation and
 the run mask hold 13 bytes per n * (n + m) cell for the whole fit, and
@@ -171,18 +177,9 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     still-uncovered points (from rows sorted once, see the module notes),
     selects the highest score (lowest original index on ties), and
     removes everything the chosen closed ball covers. d_max is taken over
-    all original targets, once.
-
-    Only rows that could change the pick are walked in full. A pool of
-    the previous iteration's POOL best rows, walked in full, sets a floor
-    S. Every walk value is at most fl(w * n_alive), rounding is monotone
-    and the penalty grows with the radius, so fl(w * n_alive) minus the
-    penalty at a sorted column bounds every score from that column on.
-    The other rows are walked up to the first column where every bound
-    is below S, and only those whose prefix score reaches S are walked
-    in full. Iterations under PRUNE_MIN_CELLS cells (alive rows x alive
-    columns) walk every row in full. Every pick, radius and score is the
-    full walk's.
+    all original targets, once. Only rows that could change the pick are
+    walked in full (see the module notes on pruning); every pick, radius
+    and score is the full walk's.
     """
     X = as_points(targets)
     n = len(X)
@@ -198,8 +195,9 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     allpts = np.vstack([X, Y]) if m else X
     dist = cross_distance_matrix(X, allpts)  # (n, n + m)
     d_max = dist[:, :n].max(axis=1)
-    # sort each row once; between iterations only liveness changes
-    perm = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
+    # sort each row once, in any order within a run of equal distances (see
+    # the module notes); between iterations only liveness changes
+    perm = np.argsort(dist, axis=1).astype(np.int32)
     sorted_d = np.take_along_axis(dist, perm, axis=1)
     del dist
     n_cols = n + m
@@ -226,7 +224,6 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
             radii = sorted_d[rows[at], best]
             return radii, walks - _penalty(radii, dmax0[at], n_alive)
 
-        cells = n_alive * n_cols
         # live cells only shrink, so after the first small iteration none prunes
         big = n_alive * (n_alive + m_alive) >= PRUNE_MIN_CELLS
         if big and 0 < np.count_nonzero(pooled := pool[rows]) < n_alive:
@@ -237,12 +234,8 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
             floor = scores[exact].max()
             # every walk value is at most fl(weight * n_alive)
             cut = _cutoff(sorted_d, rows[rest], dmax0[rest], n_alive, weight * n_alive, floor)
-            if 2 * (len(exact) * n_cols + len(rest) * cut) > cells:
-                # the prefixes alone would not halve the cells walked
-                radii[rest], scores[rest] = walk(rest, n_cols)
-            else:
-                verify = rest[walk(rest, cut)[1] >= floor]
-                radii[verify], scores[verify] = walk(verify, n_cols)
+            verify = rest[walk(rest, cut)[1] >= floor]
+            radii[verify], scores[verify] = walk(verify, n_cols)
         else:
             radii, scores = walk(slice(None), n_cols)
         k = int(np.argmax(scores))  # first max = lowest original index

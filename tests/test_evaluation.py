@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -331,17 +332,18 @@ def test_run_simulation_threads_match_sequential():
     assert a == b
 
 
-@pytest.mark.parametrize("cpus, reps, pools", [(64, 5, [5]), (3, 6, [3]), (None, 6, [])])
-def test_threads_are_capped_at_the_reps_and_the_cpu_count(monkeypatch, cpus, reps, pools):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A ThreadPoolExecutor that runs `map` in the calling thread and
+    records each pool's `max_workers` and the length of each iterable
+    `map` is handed; no thread starts."""
     import concurrent.futures
 
-    recorded = []
+    record = types.SimpleNamespace(max_workers=[], handed=[])
 
     class InlineExecutor:
-        """Records `max_workers` and runs `map` in the calling thread."""
-
         def __init__(self, max_workers):
-            recorded.append(max_workers)
+            record.max_workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -350,14 +352,27 @@ def test_threads_are_capped_at_the_reps_and_the_cpu_count(monkeypatch, cpus, rep
             return False
 
         def map(self, fn, iterable):
+            record.handed.append(len(iterable))
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+    return record
+
+
+@pytest.mark.parametrize("cpus, reps, pools", [(64, 5, [5]), (3, 6, [3]), (None, 6, [])])
+def test_threads_are_capped_at_the_reps_and_the_cpu_count(monkeypatch, inline_pool, cpus, reps, pools):
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
     cfg = small_config(max_test_reps=reps)
     report = run_simulation(cfg, SPECS, threads=10**6)
-    assert recorded == pools  # one CPU (or an unknown count) runs in the caller
+    assert inline_pool.max_workers == pools  # one CPU (or an unknown count) runs in the caller
     assert report == run_simulation(cfg, SPECS, threads=1)
+
+
+def test_a_large_max_reps_is_submitted_one_batch_at_a_time(monkeypatch, inline_pool):
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    report = run_simulation(small_config(se_target=1.0, max_test_reps=10**9), SPECS, threads=2)
+    assert report.reps == 2  # the SE target is met as soon as it exists
+    assert inline_pool.handed and max(inline_pool.handed) <= 2
 
 
 def test_run_simulation_report_shape():
@@ -454,8 +469,8 @@ def test_a_failed_replication_cancels_the_replications_not_started(monkeypatch):
     threads = 2
     with pytest.raises(RuntimeError, match="replication failed"):
         run_simulation(small_config(max_test_reps=50), SPECS, threads=threads)
-    # every replication is submitted at once; while replication 1 raises and
-    # the consumer cancels the queue, each worker starts at most one more
+    # replications are submitted one batch of `threads` at a time; replication
+    # 1 raises in the first batch, so no later batch starts
     assert len(started) <= 2 * threads
 
 

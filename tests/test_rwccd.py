@@ -220,8 +220,8 @@ def _assert_matches_trace(cover, trace):
 
 def _assert_pruned_covers_match_trace(X, Y, trace):
     """Prune from the second iteration on, whatever the size, with pools
-    of 1 and 2 rows, so ties, the verify pass and the fallback to a full
-    walk all meet the oracle on small instances."""
+    of 1 and 2 rows, so ties, the prefix walk and the full walk of the
+    rows it lets through all meet the oracle on small instances."""
     for pool in (1, 2):
         with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", 0), mock.patch.object(rwccd, "POOL", pool):
             _assert_matches_trace(rw_cover(X, Y), trace)
@@ -255,6 +255,55 @@ def test_rw_cover_lattice_without_nontargets_matches_naive_trace_when_pruned(ins
     X, _ = inst
     Y = np.empty((0, X.shape[1]))
     _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+
+
+def _run_shuffled_argsort(seed: int):
+    """`np.argsort` along the last axis with the order inside each run of
+    equal values shuffled (seeded), unlike any stable sort."""
+    rng = np.random.default_rng(seed)
+
+    def argsort(a, axis=-1, kind=None):
+        a = np.asarray(a)
+        assert axis in (-1, a.ndim - 1)
+        return np.lexsort((rng.random(a.shape), a), axis=-1)
+
+    return argsort
+
+
+def test_shuffled_argsort_sorts_and_reorders_ties():
+    a = np.array([[2.0, 1.0, 1.0, 2.0, 1.0, 0.0] * 20] * 3)
+    order = _run_shuffled_argsort(0)(a, axis=1)
+    np.testing.assert_array_equal(np.take_along_axis(a, order, axis=1), np.sort(a, axis=1))
+    assert (order != np.argsort(a, axis=1, kind="stable")).any()
+
+
+def _assert_same_cover(a, b):
+    for name in ("center_index", "radii", "scores"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (a.is_pure, a.is_proper) == (b.is_pure, b.is_proper)
+
+
+@st.composite
+def long_lattice_instance(draw):
+    # up to 150 points of a 4^d lattice: rows long enough that a default-kind
+    # sort reorders ties, with duplicates within and across classes
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    X = np.array(draw(st.lists(point, min_size=1, max_size=80)), dtype=np.float64).reshape(-1, d)
+    Y = np.array(draw(st.lists(point, max_size=70)), dtype=np.float64).reshape(-1, d)
+    return X, Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=long_lattice_instance(), seed=st.integers(0, 2**32 - 1))
+def test_rw_cover_does_not_depend_on_the_order_inside_runs(inst, seed):
+    X, Y = inst
+    plain = rw_cover(X, Y)
+    # the default settings, then pruning from the second iteration on
+    for min_cells, pool in ((rwccd.PRUNE_MIN_CELLS, rwccd.POOL), (0, 1), (0, 2)):
+        with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", min_cells), mock.patch.object(rwccd, "POOL", pool), \
+                mock.patch.object(np, "argsort", _run_shuffled_argsort(seed)):
+            _assert_same_cover(rw_cover(X, Y), plain)
 
 
 @settings(max_examples=100, deadline=None)
