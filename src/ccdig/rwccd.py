@@ -28,14 +28,20 @@ at `searchsorted(..., side="right")`; and the sorted values, through
 as inner, so no partial run's count is read.
 
 Rows stay whole and indexed by original target: between iterations only
-liveness changes. Each iteration gathers the permutation of the alive
-rows, reads from it the alive-column indicator and the target mask
-(column < n), and cumulative sums of these give every candidate radius
-its alive-target and alive-non-target counts. Only run ends are
-candidates; a run of covered points alone repeats the walk value of the
-run before it, so the first maximum is the smallest alive radius,
-exactly as if the alive submatrix had been sorted afresh. A
-pick's closed ball is a prefix of its center's sorted row, which holds
+liveness changes. Every column carries an int32 code: 1 << shift for an
+alive target, 1 for an alive non-target and 0 once covered, with
+shift = max(1, m.bit_length()), so m < 2**shift. Each iteration gathers
+the permutation of the alive rows, reads the codes through it and takes
+one int32 prefix sum per row; a prefix sum s holds the alive-target
+count s >> shift and the alive-non-target count s & (2**shift - 1) of
+every candidate radius. The counts are exact while the largest sum,
+(n << shift) + m, fits in an int32, that is while (n + 1) << shift <=
+2**31. A fit beyond that has at least 2**30 cells (38 GiB at the peak
+below), and it raises ValueError before its work arrays are allocated.
+Only run ends are candidates; a run of covered points alone repeats the
+walk value of the run before it, so the first maximum is the smallest
+alive radius, exactly as if the alive submatrix had been sorted afresh.
+A pick's closed ball is a prefix of its center's sorted row, which holds
 every point within the radius, covered or not; so the purity and
 properness flags come from the points each pick covers, and the
 distance matrix is dropped once its rows are sorted. The walk of every
@@ -74,14 +80,14 @@ full, to 35.0 M.
 
 Memory (tracemalloc, d=3): the sorted distances, the permutation and
 the run mask hold 13 bytes per n * (n + m) cell for the whole fit, and
-the work arrays 19 more. The distance matrix lives only until its rows
+the work arrays 17 more. The distance matrix lives only until its rows
 are sorted (20 bytes per cell at most, with the int64 argsort). The
-peak, 40 bytes per cell (42.2 MiB at n=1000, m=100 and 49.1 MiB at
-n=m=800), comes when a gather or a cumulative sum converts its int32 or
-boolean input: numpy makes a transient copy of up to 8 bytes per cell.
-The distance kernel's work arrays add at most 1 MiB while
-n + m <= 16384 and d <= 128. Pruning reuses the work arrays and adds
-only per-row arrays.
+in-place int32 prefix sum makes no converted copy. The peak, 38 bytes
+per cell (40.1 MiB at n=1000, m=100 and 46.7 MiB at n=m=800), comes
+when the gather of the codes converts its int32 indices: numpy makes a
+transient intp copy of 8 bytes per cell. The distance kernel's work
+arrays add at most 1 MiB while n + m <= 16384 and d <= 128. Pruning
+reuses the work arrays and adds only per-row arrays.
 """
 
 from __future__ import annotations
@@ -101,22 +107,25 @@ PRUNE_MIN_CELLS = 2**17
 
 class _WalkBuffers:
     """Flat work arrays for the walk of every iteration of one fit, sized
-    for the first (largest) one and viewed as (alive rows, columns)."""
+    for the first (largest) one and viewed as (alive rows, columns);
+    `shift` splits a prefix sum of the column codes into the alive-target
+    and alive-non-target counts (see the module notes)."""
 
-    def __init__(self, cells: int, n: int):
-        self.n = n  # columns below n are targets
+    def __init__(self, cells: int, n: int, m: int):
+        self.shift = max(1, m.bit_length())  # m < 1 << shift
+        # the largest prefix sum, (n << shift) + m, must stay below 2**31
+        if (n + 1) << self.shift > 2**31:
+            raise ValueError(f"a random-walk cover of {n} targets and {m} non-targets overflows its int32 counts")
         self.index = np.empty(cells, dtype=np.int32)  # gathered permutation, then count_t
-        self.count_n = np.empty(cells, dtype=np.int32)
-        self.live = np.empty(cells, dtype=bool)
-        self.is_target = np.empty(cells, dtype=bool)
+        self.sums = np.empty(cells, dtype=np.int32)  # prefix sums of the codes, then count_n
         self.inner = np.empty(cells, dtype=bool)
         self.walk = np.empty(cells, dtype=np.float64)
 
-    def first_max_walk(self, alive, perm, inner, rows, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    def first_max_walk(self, code, perm, inner, rows, weight: float) -> tuple[np.ndarray, np.ndarray]:
         """Per row of `rows`, the sorted position of the walk's first
-        maximum over run ends, and that walk value; `perm` and `inner`
-        are the sorted rows, or a prefix of their columns, and `rows` the
-        alive ones to walk."""
+        maximum over run ends, and that walk value; `code` holds the codes
+        by original column, `perm` and `inner` are the sorted rows, or a
+        prefix of their columns, and `rows` the alive ones to walk."""
         shape = (len(rows), perm.shape[1])
         cells = shape[0] * shape[1]
 
@@ -126,13 +135,11 @@ class _WalkBuffers:
         # mode="clip" skips the copy that mode="raise" makes of `out`;
         # every index is in range
         index = np.take(perm, rows, axis=0, out=view(self.index), mode="clip")
-        live = np.take(alive, index, out=view(self.live), mode="clip")
-        tgt = np.less(index, self.n, out=view(self.is_target))
+        sums = np.take(code, index, out=view(self.sums), mode="clip")
         run = np.take(inner, rows, axis=0, out=view(self.inner), mode="clip")
-        count_n = np.cumsum(live, axis=1, dtype=np.int32, out=view(self.count_n))
-        live &= tgt
-        count_t = np.cumsum(live, axis=1, dtype=np.int32, out=view(self.index))
-        count_n -= count_t
+        np.cumsum(sums, axis=1, out=sums)  # in place: int32 in, int32 out, no copy
+        count_t = np.right_shift(sums, self.shift, out=index)
+        count_n = np.bitwise_and(sums, (1 << self.shift) - 1, out=sums)
         walk = np.multiply(weight, count_t, out=view(self.walk))
         walk -= count_n
         # only the last entry of a run of equal radii carries the full count;
@@ -203,24 +210,25 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     n_cols = n + m
     inner = np.zeros(sorted_d.shape, dtype=bool)  # not the last of its run of equal radii
     np.equal(sorted_d[:, 1:], sorted_d[:, :-1], out=inner[:, :-1])
-    buffers = _WalkBuffers(perm.size, n)
-    alive = np.ones(n_cols, dtype=bool)  # by original column
+    buffers = _WalkBuffers(perm.size, n, m)
+    code = np.ones(n_cols, dtype=np.int32)  # by original column, 0 once covered
+    code[:n] = 1 << buffers.shift
     hit = np.zeros(n_cols, dtype=bool)  # covered by a ball of positive radius
     pool = np.zeros(n, dtype=bool)  # by original target: best exact scores of the last iteration
     picks: list[tuple[int, float, float]] = []  # (center, radius, score) in selection order
     while True:
-        rows = np.flatnonzero(alive[:n])  # original targets = rows of perm and sorted_d
+        rows = np.flatnonzero(code[:n])  # original targets = rows of perm and sorted_d
         n_alive = len(rows)
         if n_alive == 0:
             break
-        m_alive = int(np.count_nonzero(alive[n:]))
+        m_alive = int(np.count_nonzero(code[n:]))
         weight = m_alive / n_alive if m_alive > 0 else 1.0
         dmax0 = d_max[rows]
 
         def walk(at, cols):
             """Radius and score of the first walk maximum of rows[at]
             over the first `cols` sorted columns."""
-            best, walks = buffers.first_max_walk(alive, perm[:, :cols], inner[:, :cols], rows[at], weight)
+            best, walks = buffers.first_max_walk(code, perm[:, :cols], inner[:, :cols], rows[at], weight)
             radii = sorted_d[rows[at], best]
             return radii, walks - _penalty(radii, dmax0[at], n_alive)
 
@@ -248,11 +256,11 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
         picks.append((center, r_star, float(scores[k])))
         # the closed ball is a prefix of the center's sorted row, dead points included
         covered = perm[center, : np.searchsorted(sorted_d[center], r_star, side="right")]
-        alive[covered] = False
+        code[covered] = 0
         hit[covered] |= r_star > 0  # a zero-radius closed ball covers nothing
     sel, r_sel, s_sel = (np.array(column) for column in zip(*picks))
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, scores=s_sel,
-        is_pure=alive[n:].all(),  # no non-target lies in a closed ball
+        is_pure=code[n:].all(),  # no non-target lies in a closed ball
         is_proper=hit[:n].all(),
     )

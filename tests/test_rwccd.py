@@ -334,7 +334,7 @@ def test_rw_cover_flags_cover_both_outcomes():
 
 def test_rw_cover_peak_memory_per_cell():
     # the sorted distances, the permutation and the run mask live for the
-    # whole fit and the distance matrix does not; about 41 bytes per cell
+    # whole fit and the distance matrix does not; about 39 bytes per cell
     rng = np.random.default_rng(0)
     X, Y = rng.random((400, 3)), 0.1 + rng.random((40, 3))
     tracemalloc.start()
@@ -343,28 +343,65 @@ def test_rw_cover_peak_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 44 * len(X) * (len(X) + len(Y))
+    assert peak <= 42 * len(X) * (len(X) + len(Y))
 
 
-def test_rw_cover_matches_naive_trace_through_repeated_compaction():
+def test_rw_cover_matches_naive_trace_over_mostly_dead_columns():
     rng = np.random.default_rng(2)
     X, Y = rng.random((60, 2)), rng.random((40, 2))
     trace, alive = naive_rw_trace(X, Y, with_alive=True)
     # the alive points fall below half of those alive at the last such fall
-    # at least twice, so late iterations walk rows whose columns are mostly
-    # covered points (a cover that compacted its rows did so each time)
-    kept, compactions = len(X) + len(Y), 0
+    # at least twice, so late iterations walk whole sorted rows whose
+    # columns are mostly covered points
+    kept, halvings = len(X) + len(Y), 0
     for alive_t, alive_n in alive:
         if 2 * (len(alive_t) + len(alive_n)) < kept:
-            kept, compactions = len(alive_t) + len(alive_n), compactions + 1
-    assert compactions >= 2
+            kept, halvings = len(alive_t) + len(alive_n), halvings + 1
+    assert halvings >= 2
     _assert_matches_trace(rw_cover(X, Y), trace)
 
 
-def test_rw_cover_matches_naive_trace_through_repeated_compaction_when_pruned():
+def test_rw_cover_matches_naive_trace_over_mostly_dead_columns_when_pruned():
     rng = np.random.default_rng(2)
     X, Y = rng.random((60, 2)), rng.random((40, 2))
     _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 7, 8, 255, 256])
+def test_rw_cover_counts_stay_exact_where_the_shift_steps(m):
+    # m.bit_length() steps at these m, and with it the bit that separates
+    # the target count from the non-target count in a prefix sum
+    rng = np.random.default_rng(m)
+    X = rng.integers(0, 4, (40, 2)).astype(np.float64)
+    Y = rng.integers(0, 4, (m, 2)).astype(np.float64)
+    trace = naive_rw_trace(X, Y)
+    _assert_matches_trace(rw_cover(X, Y), trace)
+    _assert_pruned_covers_match_trace(X, Y, trace)
+
+
+def test_walk_buffers_reject_counts_beyond_int32():
+    # m = 2**12 takes shift 13, so n may reach 2**18 - 1; the check reads
+    # only n and m, so one-cell buffers stand in for fits of that size
+    assert rwccd._WalkBuffers(1, 2**18 - 1, 2**12).shift == 13
+    for n, m in ((2**18, 2**12), (2**20, 2**12), (2**30, 0), (1, 2**30)):
+        with pytest.raises(ValueError, match="int32"):
+            rwccd._WalkBuffers(1, n, m)
+
+
+def test_first_max_walk_counts_stay_exact_at_the_largest_allowed_sum():
+    # one row of the most targets that m = 2**12 non-targets allow, in
+    # shuffled order: the last prefix sum is (n << 13) + m, just below 2**31
+    n, m = 2**18 - 1, 2**12
+    assert (n + 1) << 13 == 2**31
+    cols = np.random.default_rng(0).permutation(n + m).astype(np.int32)
+    code = np.ones(n + m, dtype=np.int32)
+    code[:n] = 1 << 13
+    buffers = rwccd._WalkBuffers(n + m, n, m)
+    inner = np.zeros((1, n + m), dtype=bool)
+    best, walk = buffers.first_max_walk(code, cols[None, :], inner, np.array([0]), 0.5)
+    count_t = np.cumsum(cols < n, dtype=np.int64)
+    expected = 0.5 * count_t - (np.arange(1, n + m + 1) - count_t)
+    assert (best[0], walk[0]) == (np.argmax(expected), expected.max())
 
 
 def test_rw_cover_pruned_tie_at_the_cutoff_matches_naive_trace():
