@@ -333,8 +333,9 @@ def test_rw_cover_flags_cover_both_outcomes():
 
 
 def test_rw_cover_peak_memory_per_cell():
-    # the sorted distances, the permutation and the run mask live for the
-    # whole fit and the distance matrix does not; about 39 bytes per cell
+    # the sorted distances, the inverse permutation, the run mask and the
+    # prefix counts live for the whole fit and the distance matrix does
+    # not; about 31.5 bytes per cell
     rng = np.random.default_rng(0)
     X, Y = rng.random((400, 3)), 0.1 + rng.random((40, 3))
     tracemalloc.start()
@@ -343,7 +344,7 @@ def test_rw_cover_peak_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 42 * len(X) * (len(X) + len(Y))
+    assert peak <= 33 * len(X) * (len(X) + len(Y))
 
 
 def test_rw_cover_matches_naive_trace_over_mostly_dead_columns():
@@ -379,13 +380,21 @@ def test_rw_cover_counts_stay_exact_where_the_shift_steps(m):
     _assert_pruned_covers_match_trace(X, Y, trace)
 
 
-def test_walk_buffers_reject_counts_beyond_int32():
+def test_packing_shift_rejects_counts_beyond_int32(monkeypatch):
     # m = 2**12 takes shift 13, so n may reach 2**18 - 1; the check reads
-    # only n and m, so one-cell buffers stand in for fits of that size
-    assert rwccd._WalkBuffers(1, 2**18 - 1, 2**12).shift == 13
+    # only n and m
+    assert rwccd._packing_shift(2**18 - 1, 2**12) == 13
     for n, m in ((2**18, 2**12), (2**20, 2**12), (2**30, 0), (1, 2**30)):
         with pytest.raises(ValueError, match="int32"):
-            rwccd._WalkBuffers(1, n, m)
+            rwccd._packing_shift(n, m)
+
+    # rw_cover checks before its distance matrix, the first large allocation
+    def no_distances(*args):
+        raise AssertionError("the distance matrix was computed")
+
+    monkeypatch.setattr(rwccd, "cross_distance_matrix", no_distances)
+    with pytest.raises(ValueError, match="int32"):
+        rw_cover(np.zeros((2**18, 1)), np.zeros((2**12, 1)))
 
 
 def test_first_max_walk_counts_stay_exact_at_the_largest_allowed_sum():
@@ -393,15 +402,61 @@ def test_first_max_walk_counts_stay_exact_at_the_largest_allowed_sum():
     # shuffled order: the last prefix sum is (n << 13) + m, just below 2**31
     n, m = 2**18 - 1, 2**12
     assert (n + 1) << 13 == 2**31
-    cols = np.random.default_rng(0).permutation(n + m).astype(np.int32)
-    code = np.ones(n + m, dtype=np.int32)
-    code[:n] = 1 << 13
-    buffers = rwccd._WalkBuffers(n + m, n, m)
+    cols = np.random.default_rng(0).permutation(n + m)
+    counts = rwccd._PrefixCounts(cols[None, :], n, 13)
+    assert counts.counts[0, -1] == (n << 13) + m
     inner = np.zeros((1, n + m), dtype=bool)
-    best, walk = buffers.first_max_walk(code, cols[None, :], inner, np.array([0]), 0.5)
+    best, walk = counts.walk(inner, np.array([0]), n + m, 0.5)
     count_t = np.cumsum(cols < n, dtype=np.int64)
     expected = 0.5 * count_t - (np.arange(1, n + m + 1) - count_t)
     assert (best[0], walk[0]) == (np.argmax(expected), expected.max())
+
+
+def _checked_removals(seen: list):
+    """Patch `_PrefixCounts.remove` so that after every pick the kept
+    counts of the alive rows must equal a fresh prefix sum of the alive
+    codes in each row's sorted order; `seen` records, per pick, whether
+    the count rows were compacted."""
+    remove = rwccd._PrefixCounts.remove
+
+    def checked(self, dead, alive):
+        before = len(self.targets)
+        remove(self, dead, alive)
+        live = alive[self.targets]
+        if not live.any():
+            return
+        perm = np.argsort(self.rank[:, self.targets[live]].T, axis=1)  # sorted columns per row
+        code = np.where(np.arange(len(alive)) < self.n, 1 << self.shift, 1) * alive
+        np.testing.assert_array_equal(self.counts[live], np.cumsum(code[perm], axis=1))
+        seen.append(len(self.targets) < before)
+
+    return mock.patch.object(rwccd._PrefixCounts, "remove", checked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=long_lattice_instance())
+# a point shared by both classes and a zero-radius pick; no non-targets
+@example(inst=(np.array([[0.0], [1.0], [1.1]]), np.array([[0.0], [5.0]])))
+@example(inst=(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]]), np.empty((0, 2))))
+def test_kept_counts_equal_a_fresh_prefix_sum_after_every_pick(inst):
+    X, Y = inst
+    plain = rw_cover(X, Y)
+    # the default settings, then pruning from the second iteration on
+    for min_cells, pool in ((rwccd.PRUNE_MIN_CELLS, rwccd.POOL), (0, 1), (0, 2)):
+        with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", min_cells), mock.patch.object(rwccd, "POOL", pool), \
+                _checked_removals([]):
+            _assert_same_cover(rw_cover(X, Y), plain)
+
+
+def test_kept_counts_meet_picks_that_compact_and_picks_that_do_not():
+    # the shifted-box setting at q = 0.1 and 1: both kinds of pick occur
+    seen = []
+    for m in (20, 200):
+        rng = np.random.default_rng(m)
+        X, Y = rng.random((200, 3)), 0.1 + rng.random((m, 3))
+        with _checked_removals(seen):
+            rw_cover(X, Y)
+    assert set(seen) == {False, True}
 
 
 def test_rw_cover_pruned_tie_at_the_cutoff_matches_naive_trace():
@@ -419,13 +474,13 @@ def test_rw_cover_pruning_halves_the_walked_cells(monkeypatch):
     rng = np.random.default_rng(0)
     X, Y = rng.random((600, 3)), 0.1 + rng.random((60, 3))
     walked = []
-    first_max_walk = rwccd._WalkBuffers.first_max_walk
+    first_max_walk = rwccd._first_max_walk
 
-    def counting(self, alive, perm, inner, rows, weight):
-        walked.append(len(rows) * perm.shape[1])
-        return first_max_walk(self, alive, perm, inner, rows, weight)
+    def counting(sums, *args):
+        walked.append(sums.size)
+        return first_max_walk(sums, *args)
 
-    monkeypatch.setattr(rwccd._WalkBuffers, "first_max_walk", counting)
+    monkeypatch.setattr(rwccd, "_first_max_walk", counting)
     pruned = rw_cover(X, Y)
     pruned_cells = sum(walked)
     walked.clear()
