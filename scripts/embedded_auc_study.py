@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from ccdig.evaluation import ClassifierSpec, SimulationConfig, pilot_select, run_simulation
+from ccdig.evaluation import ClassifierSpec, SimulationConfig, pilot_study, run_simulation
 
 TAU_GRID = [float(np.finfo(np.float64).eps)] + [round(0.1 * i, 1) for i in range(1, 11)]
 E_GRID = [round(0.1 * i, 1) for i in range(0, 11)]
@@ -39,9 +39,9 @@ def main():
                 setting="embedded", d=d, n=n, m=n, test_per_class=100,
                 max_test_reps=args.reps, se_target=0.0, base_seed=args.seed,
             )
-            tau = pilot_select(config, "pcccd", TAU_GRID, reps=args.pilot_reps)
-            e = pilot_select(config, "rwcccd", E_GRID, reps=args.pilot_reps)
-            k = pilot_select(config, "knn", K_GRID, reps=args.pilot_reps)
+            tau = pilot_study(config, "pcccd", TAU_GRID, reps=args.pilot_reps).selected
+            e = pilot_study(config, "rwcccd", E_GRID, reps=args.pilot_reps).selected
+            k = pilot_study(config, "knn", K_GRID, reps=args.pilot_reps).selected
             report = run_simulation(
                 config,
                 [ClassifierSpec("pcccd", tau), ClassifierSpec("rwcccd", e), ClassifierSpec("knn", k)],

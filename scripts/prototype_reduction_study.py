@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from ccdig.classifier import train
-from ccdig.evaluation import SimulationConfig, reduction_stats, sample_replication
+from ccdig.evaluation import SimulationConfig, sample_replication
 
 
 def main():
@@ -41,9 +41,10 @@ def main():
                 ("pure", {"tau": 1.0}, p_counts, p_ratios),
                 ("random_walk", {"e": 1.0}, rw_counts, rw_ratios),
             ):
-                stats = reduction_stats(train(train_data, variant, **kw))
-                counts.append(sum(s.n_prototypes for s in stats))
-                ratios.append(np.mean([s.ratio for s in stats]))
+                model = train(train_data, variant, **kw)
+                balls = [cover.n_balls for cover in model.covers]
+                counts.append(sum(balls))
+                ratios.append(np.mean(np.divide(balls, model.class_counts)))
         print(
             f"{delta:>6.2f} {np.mean(p_counts):>8.1f} {np.mean(rw_counts):>9.1f} "
             f"{np.mean(p_ratios):>8.3f} {np.mean(rw_ratios):>9.3f}"

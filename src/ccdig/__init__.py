@@ -31,12 +31,10 @@ from .evaluation import (
     local_imbalance,
     overlap_alpha,
     overlap_delta,
-    pilot_select,
     pilot_study,
-    reduction_stats,
     run_simulation,
 )
-from .pccd import ClassCover, CoverBall, build_pccd_digraph, greedy_dominating_set, pccd_cover
+from .pccd import ClassCover, pccd_cover
 from .rwccd import rw_cover
 
 __version__ = "0.1.0"
@@ -45,14 +43,11 @@ __all__ = [
     "CccdModel",
     "ClassCover",
     "ClassifierSpec",
-    "CoverBall",
     "EvalReport",
     "LabeledDataset",
     "SimulationConfig",
     "auc",
-    "build_pccd_digraph",
     "cross_distance_matrix",
-    "greedy_dominating_set",
     "knn_predict_batch",
     "knn_scores",
     "load_model",
@@ -63,10 +58,8 @@ __all__ = [
     "overlap_delta",
     "parse_dataset",
     "pccd_cover",
-    "pilot_select",
     "pilot_study",
     "predict_batch",
-    "reduction_stats",
     "run_simulation",
     "rw_cover",
     "sample_uniform_box",

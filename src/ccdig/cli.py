@@ -144,6 +144,8 @@ def _classifier_specs(args) -> list[ClassifierSpec]:
         kind = _KIND_ALIASES.get(raw.strip().lower())
         if kind is None:
             raise ValueError(f"unknown classifier {raw!r} (choose from pcccd, rwcccd, knn)")
+        if any(spec.kind == kind for spec in specs):  # a report row is named by its kind
+            raise ValueError(f"classifier {kind} is listed more than once")
         specs.append(ClassifierSpec(kind, getattr(args, CLASSIFIER_KINDS[kind])))
     return specs
 
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--se-target", type=float, default=0.0005, help="stop once every mean-AUC SE is at most this; 0 runs to --max-reps"
     )
     p_sim.add_argument("--max-reps", type=int, default=200)
-    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads, at least 1")
     p_sim.add_argument("--out", help="write the CSV report here")
     p_sim.set_defaults(func=cmd_simulate)
 

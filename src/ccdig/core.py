@@ -170,8 +170,6 @@ class LabeledDataset:
     points: np.ndarray
     labels: np.ndarray
     label_names: tuple[str, ...] = ()
-    feature_names: tuple[str, ...] | None = None
-    label_column: str = "class"
 
     def __post_init__(self):
         pts = as_points(self.points)
@@ -188,11 +186,6 @@ class LabeledDataset:
         counts = np.bincount(labs, minlength=len(names))
         if counts.min() == 0:
             raise ValueError("every declared class needs at least one point")
-        feats = self.feature_names
-        if feats is not None:
-            feats = tuple(feats)
-            if len(feats) != pts.shape[1]:
-                raise ValueError("feature_names must match the dimension")
         pts = pts.copy()
         pts.flags.writeable = False
         labs = labs.copy()
@@ -200,7 +193,6 @@ class LabeledDataset:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "label_names", names)
-        object.__setattr__(self, "feature_names", feats)
 
     @property
     def n(self) -> int:
@@ -283,7 +275,7 @@ def parse_dataset(text) -> LabeledDataset:
     strings are preserved in `label_names`. Row numbers in error messages
     are 1-based and count the header.
     """
-    header, points, rows = _read_rows(text, 1)
+    _, points, rows = _read_rows(text, 1)
     labels = [row[-1] for row in rows]
     names = tuple(dict.fromkeys(labels))
     ids = {name: i for i, name in enumerate(names)}
@@ -291,8 +283,6 @@ def parse_dataset(text) -> LabeledDataset:
         points=points,
         labels=np.array([ids[label] for label in labels], dtype=np.int64),
         label_names=names,
-        feature_names=tuple(header[:-1]),
-        label_column=header[-1],
     )
 
 

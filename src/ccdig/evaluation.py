@@ -28,7 +28,6 @@ from . import classifier
 from .classifier import (
     VARIANT_PURE,
     VARIANT_RW,
-    CccdModel,
     _labels,
     discriminant_batch,
     predict_batch,
@@ -266,16 +265,11 @@ class ClassifierSpec:
 
     kind: str
     param: float
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         object.__setattr__(self, "param", check_hyper(CLASSIFIER_KINDS[self.kind], self.param))
-
-    @property
-    def name(self) -> str:
-        return self.label or self.kind
 
 
 @dataclass(frozen=True)
@@ -417,6 +411,8 @@ def run_simulation(
     classifiers = tuple(classifiers)
     if not classifiers:
         raise ValueError("need at least one classifier")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     score_mode = _check_score_mode(score_mode)
     per_clf_aucs: list[list[float]] = [[] for _ in classifiers]
     per_clf_protos: list[list[int]] = [[] for _ in classifiers]
@@ -430,7 +426,7 @@ def run_simulation(
             break
     results = tuple(
         ClassifierResult(
-            name=spec.name,
+            name=spec.kind,
             aucs=tuple(per_clf_aucs[j]),
             prototype_counts=None if per_clf_protos[j][0] is None else tuple(per_clf_protos[j]),
         )
@@ -475,33 +471,6 @@ def pilot_study(
         top = max(aucs)
         counts[[i for i, a in enumerate(aucs) if a == top]] += 1
     return PilotResult(family=family, grid=grid, counts=tuple(int(c) for c in counts), reps=reps)
-
-
-def pilot_select(
-    config: SimulationConfig, family: str, grid, reps: int = 200, score_mode: str = "label"
-) -> float:
-    """The pilot winner only; see pilot_study for the protocol."""
-    return pilot_study(config, family, grid, reps, score_mode).selected
-
-
-@dataclass(frozen=True)
-class PrototypeStat:
-    class_id: int
-    n_prototypes: int
-    n_train: int
-
-    @property
-    def ratio(self) -> float:
-        return self.n_prototypes / self.n_train
-
-
-def reduction_stats(model: CccdModel) -> list[PrototypeStat]:
-    """Per-class prototype (covering-ball) counts and reduction ratios
-    against the model's training class sizes."""
-    return [
-        PrototypeStat(class_id=cover.class_id, n_prototypes=cover.n_balls, n_train=size)
-        for cover, size in zip(model.covers, model.class_counts)
-    ]
 
 
 REPORT_FIELDS = (

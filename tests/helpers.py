@@ -386,10 +386,9 @@ def dataset_to_csv(ds: LabeledDataset) -> str:
     """A dataset written back to CSV, one `repr(float)` per coordinate so
     that floats keep full round-trip precision: the oracle of the parser's
     round-trip tests."""
-    feats = ds.feature_names or tuple(f"x{j + 1}" for j in range(ds.dim))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(feats) + [ds.label_column])
+    writer.writerow([f"x{j + 1}" for j in range(ds.dim)] + ["class"])
     for pt, lab in zip(ds.points, ds.labels):
         writer.writerow([repr(float(v)) for v in pt] + [ds.label_names[lab]])
     return out.getvalue()

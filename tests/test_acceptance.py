@@ -21,7 +21,7 @@ from ccdig.evaluation import (
     local_imbalance,
     overlap_alpha,
     overlap_delta,
-    pilot_select,
+    pilot_study,
     run_simulation,
 )
 from ccdig.pccd import build_pccd_digraph, greedy_dominating_set, pccd_cover, pccd_radii
@@ -126,9 +126,9 @@ def test_criterion_05_headline_gap_embedded_d10():
             setting="embedded", d=10, n=50, m=50, test_per_class=100,
             max_test_reps=100, se_target=0.0, base_seed=20260505,
         )
-        tau = pilot_select(config, "pcccd", TAU_GRID, reps=30)
-        e = pilot_select(config, "rwcccd", E_GRID, reps=30)
-        k = pilot_select(config, "knn", K_GRID, reps=30)
+        tau = pilot_study(config, "pcccd", TAU_GRID, reps=30).selected
+        e = pilot_study(config, "rwcccd", E_GRID, reps=30).selected
+        k = pilot_study(config, "knn", K_GRID, reps=30).selected
         report = run_simulation(
             config,
             [ClassifierSpec("pcccd", tau), ClassifierSpec("rwcccd", e), ClassifierSpec("knn", k)],
@@ -149,8 +149,8 @@ def test_criterion_06_reversed_imbalance_flip():
             setting="embedded", d=2, n=200, m=50, test_per_class=100,
             max_test_reps=100, se_target=0.0, base_seed=20260606,
         )
-        tau = pilot_select(config, "pcccd", TAU_GRID, reps=30)
-        k = pilot_select(config, "knn", K_GRID, reps=30)
+        tau = pilot_study(config, "pcccd", TAU_GRID, reps=30).selected
+        k = pilot_study(config, "knn", K_GRID, reps=30).selected
         report = run_simulation(config, [ClassifierSpec("pcccd", tau), ClassifierSpec("knn", k)])
         p_auc, knn_auc = (r.mean_auc for r in report.results)
         print(f"    pilot tau={tau:.3g} k={k:.0f}; AUC P={p_auc:.4f} kNN={knn_auc:.4f} over {report.reps} reps")

@@ -1,4 +1,4 @@
-"""The package's public names, and the ones the benchmark times."""
+"""The package's public names, the ones the benchmark times, and the README's example."""
 
 import importlib
 import importlib.util
@@ -6,7 +6,9 @@ import pathlib
 
 import ccdig
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -23,14 +25,11 @@ def test_public_surface_is_pinned():
         "CccdModel",
         "ClassCover",
         "ClassifierSpec",
-        "CoverBall",
         "EvalReport",
         "LabeledDataset",
         "SimulationConfig",
         "auc",
-        "build_pccd_digraph",
         "cross_distance_matrix",
-        "greedy_dominating_set",
         "knn_predict_batch",
         "knn_scores",
         "load_model",
@@ -41,10 +40,8 @@ def test_public_surface_is_pinned():
         "overlap_delta",
         "parse_dataset",
         "pccd_cover",
-        "pilot_select",
         "pilot_study",
         "predict_batch",
-        "reduction_stats",
         "run_simulation",
         "rw_cover",
         "sample_uniform_box",
@@ -64,3 +61,11 @@ def test_benchmark_spans_name_live_functions():
     assert wrapped
     for module, name in wrapped:
         assert callable(getattr(importlib.import_module(f"ccdig.{module}"), name, None)), f"{module}.{name}"
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    # the first python block of the README, run as written; it saves model.json
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    assert (tmp_path / "model.json").is_file()

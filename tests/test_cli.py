@@ -387,12 +387,17 @@ PILOT_ARGS = [
         ("simulate", {"n": "10", "q": "1.0", "classifiers": "knn", "k": "50"}, None),
         ("simulate", {"setting": "disjoint", "delta": "inf"}, None),
         ("simulate", {"se_target": "nan"}, None),
+        ("simulate", {"threads": "0"}, None),
+        ("simulate", {"threads": "-5"}, None),
+        ("simulate", {"classifiers": "knn,knn"}, None),
+        ("simulate", {"classifiers": "pccd,pcccd"}, None),
         ("pilot", {"reps": "0"}, None),
         ("pilot", {"grid": "0.5,0.5"}, None),
     ],
     ids=[
         "q-inf", "q-nan", "seed-env", "empty-delta", "fractional-m", "k-over-n",
-        "disjoint-inf", "se-target-nan", "reps-0", "repeated-grid",
+        "disjoint-inf", "se-target-nan", "threads-0", "threads-negative", "repeated-knn", "alias-pair",
+        "reps-0", "repeated-grid",
     ],
 )
 def test_bad_flag_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, flags, seed_env):

@@ -172,7 +172,6 @@ def test_parse_dataset_two_classes():
     assert ds.n == 2 and ds.dim == 2
     assert ds.labels.tolist() == [0, 1]
     assert ds.label_names == ("a", "b")
-    assert ds.feature_names == ("x1", "x2")
 
 
 def test_parse_dataset_single_class_is_valid():

@@ -23,9 +23,7 @@ from ccdig.evaluation import (
     local_imbalance,
     overlap_alpha,
     overlap_delta,
-    pilot_select,
     pilot_study,
-    reduction_stats,
     report_rows,
     run_simulation,
     sample_replication,
@@ -332,6 +330,12 @@ def test_run_simulation_threads_match_sequential():
     assert a == b
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_run_simulation_needs_a_thread(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_simulation(small_config(), SPECS, threads=threads)
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """A ThreadPoolExecutor that runs `map` in the calling thread and
@@ -426,7 +430,7 @@ def test_rwcccd_specs_share_one_fit_per_replication(monkeypatch):
 
     monkeypatch.setattr(evaluation, "train", counting)
     cfg = small_config(d=2, n=30, m=20, test_per_class=30, max_test_reps=4)
-    specs = (ClassifierSpec("rwcccd", 0.3, label="e=0.3"), ClassifierSpec("rwcccd", 1.0, label="e=1"))
+    specs = (ClassifierSpec("rwcccd", 0.3), ClassifierSpec("rwcccd", 1.0))
     both = run_simulation(cfg, specs, score_mode="continuous")
     assert fits == ["random_walk"] * cfg.max_test_reps
     assert both.results[0].aucs != both.results[1].aucs  # each spec scores with its own e
@@ -488,7 +492,6 @@ def test_classifier_spec_validation():
         ClassifierSpec("knn", 2.5)
     with pytest.raises(ValueError):
         ClassifierSpec("svm", 1.0)
-    assert ClassifierSpec("knn", 3, label="knn3").name == "knn3"
 
 
 @pytest.mark.parametrize("k", [math.inf, math.nan, 0, 2.5, 10**400])
@@ -512,7 +515,7 @@ def test_report_rows_and_table():
 
 def test_pilot_single_value_grid():
     cfg = small_config(max_test_reps=2)
-    assert pilot_select(cfg, "pcccd", [0.4], reps=3) == 0.4
+    assert pilot_study(cfg, "pcccd", [0.4], reps=3).selected == 0.4
 
 
 def test_pilot_mode_tie_takes_lowest():
@@ -573,20 +576,7 @@ def test_pilot_low_dimension_prefers_small_tau():
     # embedded boxes in d=2: the walk of best tau values concentrates low
     cfg = SimulationConfig(setting="embedded", d=2, n=100, m=100, test_per_class=100, base_seed=2)
     grid = [EPS] + [round(0.1 * i, 1) for i in range(1, 11)]
-    assert pilot_select(cfg, "pcccd", grid, reps=50) <= 0.3
-
-
-def test_reduction_stats_ratio():
-    X, Y = random_instance(31, n_range=(30, 40), m_range=(30, 40))
-    ds = LabeledDataset(
-        points=np.vstack([X, Y]),
-        labels=np.concatenate([np.zeros(len(X), np.int64), np.ones(len(Y), np.int64)]),
-    )
-    model = train(ds, "pure", tau=0.5)
-    stats = reduction_stats(model)
-    assert [s.class_id for s in stats] == [0, 1]
-    assert stats[0].n_train == len(X)
-    assert stats[0].ratio == stats[0].n_prototypes / len(X)
+    assert pilot_study(cfg, "pcccd", grid, reps=50).selected <= 0.3
 
 
 def test_pure_covers_keep_more_prototypes_than_rw_when_overlapping():
