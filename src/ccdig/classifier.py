@@ -12,11 +12,12 @@ The query path (`predict_batch`, `discriminant_batch`) works on blocks
 of at most rows = QUERY_BLOCK_BYTES // (8 * b) queries, b the largest
 number of balls in one class. A batch of at most `rows` queries is one
 block, and each class's minimum is taken over the block's distances to
-all its balls; every `simulate` fit and one-row batch runs this way. A
-larger batch is split into leaves: a segment of queries is cut at the
-median of its widest coordinate until it has at most `rows` queries
-(Bentley's k-d split), and each leaf's minima are scattered back
-through its query indices.
+all its balls (`_block_minima`); every one-row batch runs this way, and
+so does the `simulate` harness, on the columns of its own shared
+distance blocks. A larger batch is split into leaves: a segment of
+queries is cut at the median of its widest coordinate until it has at
+most `rows` queries (Bentley's k-d split), and each leaf's minima are
+scattered back through its query indices.
 
 A query's minimum comes from a ball near it, so a leaf needs only the
 balls that can reach the leaf's best upper bound. For each class, with
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledDataset, as_points, check_hyper, cross_distance_matrix, write_text_atomic
-from .pccd import ClassCover, pccd_cover
+from .pccd import ClassCover, _pure_covers
 from .rwccd import rw_cover
 
 VARIANT_PURE = "pure"
@@ -173,14 +174,11 @@ def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: fl
     if value is None:
         raise ValueError(f"the {variant} variant requires {key}")
     hyper = {key: check_hyper(key, value)}
-    covers = []
-    for c in range(data.n_classes):
-        targets = data.points[data.labels == c]
-        nontargets = data.points[data.labels != c]
-        if variant == VARIANT_PURE:
-            covers.append(pccd_cover(targets, nontargets, hyper["tau"], class_id=c))
-        else:
-            covers.append(rw_cover(targets, nontargets, class_id=c))
+    parts = [data.points[data.labels == c] for c in range(data.n_classes)]
+    if variant == VARIANT_PURE:
+        covers = _pure_covers(parts, hyper["tau"])
+    else:
+        covers = [rw_cover(targets, data.points[data.labels != c], class_id=c) for c, targets in enumerate(parts)]
     return CccdModel(
         variant=variant,
         covers=tuple(covers),
@@ -194,7 +192,24 @@ def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: fl
 def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
     """(n_points, n_classes) matrix of per-class minimum dissimilarities;
     see the module notes on the query leaves, the bound and memory."""
+    terms = _cover_terms(model)
+    rows = max(1, QUERY_BLOCK_BYTES // (8 * max(cover.n_balls for cover in model.covers)))
+    if len(points) <= rows:
+        if not len(points):
+            return np.empty((0, model.n_classes), dtype=np.float64)
+        return _block_minima(terms, (cross_distance_matrix(points, term[0]) for term in terms), len(points))
     out = np.empty((len(points), model.n_classes), dtype=np.float64)
+    for leaf in _leaves(points, rows):
+        block = points[leaf]
+        lo, hi = block.min(axis=0), block.max(axis=0)
+        for c, term in enumerate(terms):
+            out[leaf, c] = _leaf_minima(block, lo, hi, term)
+    return out
+
+
+def _cover_terms(model: CccdModel) -> list[tuple]:
+    """Per class: the ball centers, the radii with 1 in place of 0, the
+    zero-radius mask and the RW exponent (None for a pure model)."""
     terms = []
     for cover in model.covers:
         radii = cover.radii
@@ -202,17 +217,16 @@ def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
         if model.variant == VARIANT_RW:
             exponent = np.maximum(cover.scores, SCORE_CLAMP) ** model.hyper["e"]
         terms.append((cover.centers, np.where(radii > 0, radii, 1.0), radii <= 0, exponent))
-    rows = max(1, QUERY_BLOCK_BYTES // (8 * max(cover.n_balls for cover in model.covers)))
-    if len(points) <= rows:
-        if len(points):
-            for c, term in enumerate(terms):
-                out[:, c] = _dissimilarities(points, *term).min(axis=1)
-        return out
-    for leaf in _leaves(points, rows):
-        block = points[leaf]
-        lo, hi = block.min(axis=0), block.max(axis=0)
-        for c, term in enumerate(terms):
-            out[leaf, c] = _leaf_minima(block, lo, hi, term)
+    return terms
+
+
+def _block_minima(terms, distances, rows: int) -> np.ndarray:
+    """(rows, n_classes) per-class minima of one query block. `distances`
+    yields, in class order, a fresh (rows, balls) matrix of the block's
+    distances to that class's centers, which is scaled in place."""
+    out = np.empty((rows, len(terms)), dtype=np.float64)
+    for c, (term, rho) in enumerate(zip(terms, distances)):
+        out[:, c] = _scale(rho, *term[1:]).min(axis=1)
     return out
 
 
@@ -313,7 +327,11 @@ def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndar
         raise ValueError("the discriminant is defined for two-class models only")
     if positive_class not in (0, 1):
         raise ValueError("positive_class must be one of the model's class ids")
-    minima = _batch_minima(model, points)
+    return _gap(_batch_minima(model, points), positive_class)
+
+
+def _gap(minima: np.ndarray, positive_class: int) -> np.ndarray:
+    """The discriminant of each row of two-class minima."""
     with np.errstate(invalid="ignore"):  # inf - inf: both sides infinitely far, a gap of 0
         gap = minima[:, 1 - positive_class] - minima[:, positive_class]
     return np.nan_to_num(gap, copy=False, nan=0.0, posinf=LARGE_GAP, neginf=-LARGE_GAP)

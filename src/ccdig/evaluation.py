@@ -6,6 +6,20 @@ classifier, and records its AUC (and prototype count where applicable).
 Replications accumulate until the standard error of every classifier's
 mean AUC drops to the target or the replication cap is reached.
 
+A replication first fits every cover, then scores every classifier in
+one pass over blocks of the test points, so each test-to-training
+distance is computed once. A block holds the distances to the training
+points that some classifier reads: all of them when a k-NN is scored,
+otherwise only the covers' centers. k-NN counts its votes from the
+block; each cover takes its per-class minima from a gathered copy of
+its centers' columns, through the same one-block code as
+`classifier.predict_batch`. A block has rows =
+classifier.QUERY_BLOCK_BYTES // (8 * cols) rows, cols the training
+points it reads, so its float64 distances take at most that many bytes;
+k-NN adds a partitioned copy and two boolean masks, about 18 bytes per
+query-training pair in all (a tied row about 13 more). A cover's
+gathered copy of one class's columns is never larger than the block.
+
 The harness supports two ROC score protocols. The default, "label",
 ranks test points by the classifier's predicted label, which puts every
 classifier on the same footing and is the protocol under which the
@@ -25,14 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import classifier
-from .classifier import (
-    VARIANT_PURE,
-    VARIANT_RW,
-    _labels,
-    discriminant_batch,
-    predict_batch,
-    train,
-)
+from .classifier import VARIANT_PURE, VARIANT_RW, _block_minima, _cover_terms, _gap, _labels, train
 from .core import LabeledDataset, as_points, check_hyper, cross_distance_matrix, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
@@ -70,62 +77,58 @@ def auc(scores, labels) -> float:
     return float((rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
-def _majority_labels(neighbors: np.ndarray, counts, n_classes: int) -> np.ndarray:
-    """Per row of neighbor labels, the most frequent: the argmin of the
-    negated votes, so ties go to the larger training class, then the
-    lower class id."""
-    rows = len(neighbors)
-    offset = neighbors + n_classes * np.arange(rows)[:, None]
-    votes = np.bincount(offset.ravel(), minlength=rows * n_classes).reshape(rows, n_classes)
-    return _labels(-votes, counts)
-
-
-def _knn_neighbor_labels(train_data: LabeledDataset, points, k: int) -> np.ndarray:
-    """Labels of the k nearest training points of each query, in training
-    order; among points at the k-th smallest distance the lowest indices
-    are taken, the same set a stable sort of the distances would give.
+def _knn_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int) -> np.ndarray:
+    """(rows, n_classes) counts of each class among the k nearest training
+    points of each row of `dist`, a (rows, n) block of distances to the
+    training points in training order. Among points at the k-th smallest
+    distance the lowest indices are taken, the same set a stable sort of
+    the distances would give.
 
     Only rows where more than k points reach the k-th distance, rare on
     continuous data, run the tie step: a running count over the row.
-
-    Queries run in row blocks of classifier.QUERY_BLOCK_BYTES // (8 * n)
-    rows, n the training size; a block's distances, their partitioned copy
-    and one mask take 17 bytes per query-point pair, a tied row about 13 more.
     """
-    if not 1 <= k <= train_data.n:
-        raise ValueError(f"k must be in [1, {train_data.n}]")
+    if not 1 <= k <= dist.shape[1]:
+        raise ValueError(f"k must be in [1, {dist.shape[1]}]")
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    chosen = dist <= kth
+    tied = np.count_nonzero(chosen, axis=1) > k
+    if tied.any():
+        at_kth = dist[tied] == kth[tied]
+        # how many of the points tied at the k-th distance still fit
+        room = k + np.count_nonzero(at_kth, axis=1) - np.count_nonzero(chosen[tied], axis=1)
+        chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room[:, None])
+    votes = np.empty((len(dist), n_classes), dtype=np.int64)
+    for c in range(n_classes - 1):
+        votes[:, c] = np.count_nonzero(chosen & (labels == c), axis=1)
+    votes[:, -1] = k - votes[:, :-1].sum(axis=1)
+    return votes
+
+
+def _knn_batch_votes(train_data: LabeledDataset, points, k: int) -> np.ndarray:
+    """`_knn_votes` of every query point, in row blocks of
+    classifier.QUERY_BLOCK_BYTES // (8 * n) rows, n the training size."""
     pts = as_points(points)
     if pts.shape[1] != train_data.dim:
         raise ValueError("dimension mismatch between query and training data")
-    out = np.empty((len(pts), k), dtype=train_data.labels.dtype)
+    votes = np.empty((len(pts), train_data.n_classes), dtype=np.int64)
     rows = max(1, classifier.QUERY_BLOCK_BYTES // (8 * train_data.n))
     for i in range(0, len(pts), rows):
         dist = cross_distance_matrix(pts[i : i + rows], train_data.points)
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-        chosen = dist <= kth
-        tied = np.count_nonzero(chosen, axis=1) > k
-        if tied.any():
-            at_kth = dist[tied] == kth[tied]
-            # how many of the points tied at the k-th distance still fit
-            room = k + np.count_nonzero(at_kth, axis=1) - np.count_nonzero(chosen[tied], axis=1)
-            chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room[:, None])
-        out[i : i + rows] = train_data.labels[np.nonzero(chosen)[1].reshape(len(dist), k)]
-    return out
+        votes[i : i + rows] = _knn_votes(dist, train_data.labels, k, train_data.n_classes)
+    return votes
 
 
 def knn_predict_batch(train_data: LabeledDataset, points, k: int) -> np.ndarray:
     """Majority label among the k nearest training points, for many query
     points at once. Distance ties go to the lower training index; vote
     ties to the larger training class, then the lower class id."""
-    neighbors = _knn_neighbor_labels(train_data, points, k)
-    return _majority_labels(neighbors, train_data.class_counts, train_data.n_classes)
+    return _labels(-_knn_batch_votes(train_data, points, k), train_data.class_counts)
 
 
 def knn_scores(train_data: LabeledDataset, points, k: int, positive: int = 1) -> np.ndarray:
     """Fraction of the k nearest training points (as knn_predict_batch
     picks them) from the `positive` class, for many query points at once."""
-    neighbors = _knn_neighbor_labels(train_data, points, k)
-    return (neighbors == positive).mean(axis=1)
+    return _knn_batch_votes(train_data, points, k)[:, positive] / k
 
 
 def overlap_alpha(delta: float, d: int) -> float:
@@ -340,30 +343,55 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
 
     Returns per-classifier AUCs and prototype counts (None for knn). RW
     covers do not depend on e, so they are fitted at most once and each
-    rwcccd spec scores them under its own exponent.
+    rwcccd spec scores them under its own exponent. Every classifier is
+    scored from one pass over the test blocks; see the module notes.
     """
     train_data, test_points, test_labels = sample_replication(config, rep)
     base = None  # this replication's RW fit
-    aucs = []
-    protos = []
+    models = []  # per spec, its model, or None for knn
     for spec in classifiers:
-        if spec.kind == "knn":
-            knn = knn_predict_batch if score_mode == "label" else knn_scores
-            aucs.append(auc(knn(train_data, test_points, int(spec.param)), test_labels))
-            protos.append(None)
-            continue
         if spec.kind == "pcccd":
-            model = train(train_data, VARIANT_PURE, tau=spec.param)
-        else:
+            models.append(train(train_data, VARIANT_PURE, tau=spec.param))
+        elif spec.kind == "rwcccd":
             if base is None:
                 base = train(train_data, VARIANT_RW, e=spec.param)
-            model = replace(base, hyper={"e": spec.param})
-        if score_mode == "label":
-            scores = predict_batch(model, test_points)[0]  # auc converts the labels to float64
+            models.append(replace(base, hyper={"e": spec.param}))
         else:
-            scores = discriminant_batch(model, test_points, positive_class=1)
-        aucs.append(auc(scores, test_labels))
-        protos.append(sum(cover.n_balls for cover in model.covers))
+            models.append(None)
+    # each cover model's centers, per class, as training indices
+    members = [np.flatnonzero(train_data.labels == c) for c in range(train_data.n_classes)]
+    centers = {
+        j: [members[c][cover.center_index] for c, cover in enumerate(model.covers)]
+        for j, model in enumerate(models)
+        if model is not None
+    }
+    if len(centers) < len(models):
+        cols = np.arange(train_data.n)
+    else:
+        cols = np.unique(np.concatenate([index for per_class in centers.values() for index in per_class]))
+    # per cover model, its terms and each class's center positions among cols
+    plans = {
+        j: (_cover_terms(models[j]), [np.searchsorted(cols, index) for index in per_class])
+        for j, per_class in centers.items()
+    }
+    reference = train_data.points[cols]
+    scores = np.empty((len(classifiers), len(test_points)), dtype=np.float64)  # labels convert exactly
+    rows = max(1, classifier.QUERY_BLOCK_BYTES // (8 * len(cols)))
+    for i in range(0, len(test_points), rows):
+        block = cross_distance_matrix(test_points[i : i + rows], reference)
+        for j, (spec, model) in enumerate(zip(classifiers, models)):
+            if model is None:
+                k = int(spec.param)
+                votes = _knn_votes(block, train_data.labels, k, train_data.n_classes)
+                out = _labels(-votes, train_data.class_counts) if score_mode == "label" else votes[:, 1] / k
+            else:
+                terms, columns = plans[j]
+                # each class's columns are gathered into a copy, which _block_minima scales in place
+                minima = _block_minima(terms, (block[:, c] for c in columns), len(block))
+                out = _labels(minima, model.class_counts) if score_mode == "label" else _gap(minima, 1)
+            scores[j, i : i + rows] = out
+    aucs = [auc(s, test_labels) for s in scores]
+    protos = [None if m is None else sum(cover.n_balls for cover in m.covers) for m in models]
     return aucs, protos
 
 

@@ -112,6 +112,19 @@ def test_cross_distance_matrix_is_the_broadcast_sum_bit_for_bit(monkeypatch):
         assert cross_distance_matrix(A, B)[4, 2] == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 130])
+def test_the_transposed_block_is_equal_bit_for_bit(d):
+    # a pure fit transposes the (c, c') block for the (c', c) one; past
+    # PAIRWISE_MAX coordinates (d = 130) the kernel splits the sum in two
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.uniform(-3, 3, d)
+    X = rng.standard_normal((11, d)) * scale
+    Y = rng.standard_normal((6, d)) * scale
+    Y[1] = X[3]
+    got = cross_distance_matrix(Y, X)
+    assert np.array_equal(got.view(np.int64), cross_distance_matrix(X, Y).T.view(np.int64))
+
+
 def test_cross_distance_matrix_empty_errors():
     with pytest.raises(ValueError):
         cross_distance_matrix(np.empty((0, 2)), [[0.0, 0.0]])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdig import classifier, evaluation
-from ccdig.classifier import train
+from ccdig.classifier import VARIANT_PURE, VARIANT_RW, discriminant_batch, predict_batch, train
 from ccdig.core import LabeledDataset
 from ccdig.evaluation import (
     ClassifierSpec,
@@ -436,6 +436,55 @@ def test_rwcccd_specs_share_one_fit_per_replication(monkeypatch):
     assert both.results[0].aucs != both.results[1].aucs  # each spec scores with its own e
     for spec, result in zip(specs, both.results):
         assert run_simulation(cfg, [spec], score_mode="continuous").results == (result,)
+
+
+def library_replication(config, specs, rep, score_mode):
+    """A replication's AUCs and prototype counts through the public
+    query functions, one classifier at a time."""
+    train_data, test_points, test_labels = sample_replication(config, rep)
+    aucs, protos = [], []
+    for spec in specs:
+        if spec.kind == "knn":
+            knn = knn_predict_batch if score_mode == "label" else knn_scores
+            aucs.append(auc(knn(train_data, test_points, int(spec.param)), test_labels))
+            protos.append(None)
+            continue
+        if spec.kind == "pcccd":
+            model = train(train_data, VARIANT_PURE, tau=spec.param)
+        else:
+            model = train(train_data, VARIANT_RW, e=spec.param)
+        if score_mode == "label":
+            scores = predict_batch(model, test_points)[0]
+        else:
+            scores = discriminant_batch(model, test_points, positive_class=1)
+        aucs.append(auc(scores, test_labels))
+        protos.append(sum(cover.n_balls for cover in model.covers))
+    return aucs, protos
+
+
+@pytest.mark.parametrize("score_mode", ["label", "continuous"])
+@pytest.mark.parametrize("kinds", [("pcccd", "knn"), ("rwcccd",), ("pcccd", "rwcccd", "knn")])
+def test_a_replication_scores_as_the_library_does(monkeypatch, score_mode, kinds):
+    params = {"pcccd": 0.5, "rwcccd": 0.5, "knn": 3}
+    specs = [ClassifierSpec(kind, params[kind]) for kind in kinds]
+    cfg = small_config(setting="shifted", d=2, n=40, m=15, delta=0.2, test_per_class=30)
+    expected = [library_replication(cfg, specs, rep, score_mode) for rep in range(3)]
+    for rep in range(3):
+        assert evaluation._run_replication(cfg, specs, rep, score_mode) == expected[rep]
+    # blocks of at most 7 rows: the 60 test points span at least 9 of them
+    monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * 2 * 7)
+    blocks = []
+    real = evaluation.cross_distance_matrix
+
+    def counting(a, b):
+        blocks.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(evaluation, "cross_distance_matrix", counting)
+    for rep in range(3):
+        blocks.clear()
+        assert evaluation._run_replication(cfg, specs, rep, score_mode) == expected[rep]
+        assert len(blocks) >= 3 and sum(blocks) == 2 * cfg.test_per_class
 
 
 def _slow_after(monkeypatch, fast: int, fail_at=None):
