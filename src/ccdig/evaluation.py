@@ -128,6 +128,8 @@ def knn_predict_batch(train_data: LabeledDataset, points, k: int) -> np.ndarray:
 def knn_scores(train_data: LabeledDataset, points, k: int, positive: int = 1) -> np.ndarray:
     """Fraction of the k nearest training points (as knn_predict_batch
     picks them) from the `positive` class, for many query points at once."""
+    if not 0 <= positive < train_data.n_classes:
+        raise ValueError("positive must be one of the training class ids")
     return _knn_batch_votes(train_data, points, k)[:, positive] / k
 
 

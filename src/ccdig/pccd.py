@@ -195,6 +195,8 @@ def _pure_covers(parts, tau: float) -> list[ClassCover]:
             blocks.append(cross_distance_matrix(X, parts[later]))
             waiting[later].append(blocks[-1])
         dist_n = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        # hold no block past its use, so a transposed one is freed before
+        # the next fit's dist_t exists
         del blocks
         covers.append(_pure_cover(X, dist_n, tau, c))
         del dist_n

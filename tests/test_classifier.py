@@ -24,6 +24,7 @@ from ccdig.classifier import (
     train,
 )
 from ccdig.core import LabeledDataset
+from ccdig.pccd import pccd_cover
 from helpers import (
     argmin_label,
     array_cover,
@@ -117,6 +118,22 @@ def test_train_three_class_one_vs_rest():
     model = train(ds, "pure", tau=0.5)
     assert [c.class_id for c in model.covers] == [0, 1, 2]
     assert model.label_map == ("0", "1", "2")
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+def test_pure_train_equals_one_cover_per_class(n_classes):
+    # train computes each class pair's block once and transposes it for
+    # the other class; every cover must equal pccd_cover's own
+    rng = np.random.default_rng(n_classes)
+    labels = rng.permutation(np.arange(90) % n_classes)  # interleaved classes
+    points = rng.random((90, 2)) + 0.3 * labels[:, None]
+    ds = LabeledDataset(points=points, labels=labels)
+    model = train(ds, "pure", tau=0.4)
+    for c, cover in enumerate(model.covers):
+        alone = pccd_cover(points[labels == c], points[labels != c], 0.4, class_id=c)
+        for name in ("centers", "center_index", "radii"):
+            assert np.array_equal(getattr(cover, name), getattr(alone, name))
+        assert (cover.is_pure, cover.is_proper) == (alone.is_pure, alone.is_proper)
 
 
 def test_train_rejects_single_class():

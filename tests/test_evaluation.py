@@ -127,6 +127,12 @@ def test_knn_k_out_of_range():
         knn_one(knn_toy(), [0.0], 5)
 
 
+@pytest.mark.parametrize("positive", [-1, 2])
+def test_knn_scores_need_a_class_id(positive):
+    with pytest.raises(ValueError, match="positive must be"):
+        knn_scores(knn_toy(), [[0.0]], 1, positive=positive)
+
+
 def test_knn_self_point_is_own_nearest_neighbor():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(20, 3))
