@@ -101,40 +101,41 @@ def _sum_squares(at, bt, out, work) -> None:
     A longer sum is split after half its terms, rounded down to a
     multiple of 8; each half is summed the same way, the second into a
     spare block, and the two are added. `work` holds the term (slot 0)
-    and, from 8 terms on, accumulators r1..r7 (slots 1-7; out is r0)."""
+    and, from 8 terms on, accumulators r1..r7 (slots 1-7; out is r0).
+    It recurses as a plain function: a recursive closure refers to
+    itself, and that cycle would keep each call's work arrays alive
+    until the garbage collector ran."""
+    n = len(at)
+    if n > PAIRWISE_MAX:
+        mid = n // 2 - n // 2 % 8
+        _sum_squares(at[:mid], bt[:mid], out, work)
+        spare = np.empty_like(out)
+        _sum_squares(at[mid:], bt[mid:], spare, work)
+        out += spare
+        return
+    term = work[0]
+    if n < 8:
+        _square(at[0], bt[0], out)
+        tail = 1
+    else:
+        acc = [out, *work[1:]]
+        for j in range(8):
+            _square(at[j], bt[j], acc[j])
+        tail = n - n % 8
+        for k in range(8, tail):
+            _square(at[k], bt[k], term)
+            acc[k % 8] += term
+        for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            acc[x] += acc[y]
+    for k in range(tail, n):
+        _square(at[k], bt[k], term)
+        out += term
 
-    def square(k, dst):
-        np.subtract(at[k, :, None], bt[k], out=dst)
-        np.multiply(dst, dst, out=dst)
 
-    def pairwise(lo, hi, dst):
-        n = hi - lo
-        if n > PAIRWISE_MAX:
-            mid = lo + n // 2 - n // 2 % 8
-            pairwise(lo, mid, dst)
-            spare = np.empty_like(dst)
-            pairwise(mid, hi, spare)
-            dst += spare
-            return
-        term = work[0]
-        if n < 8:
-            square(lo, dst)
-            tail = lo + 1
-        else:
-            acc = [dst, *work[1:]]
-            for j in range(8):
-                square(lo + j, acc[j])
-            tail = hi - n % 8
-            for k in range(lo + 8, tail):
-                square(k, term)
-                acc[(k - lo) % 8] += term
-            for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-                acc[x] += acc[y]
-        for k in range(tail, hi):
-            square(k, term)
-            dst += term
-
-    pairwise(0, len(at), out)
+def _square(a, b, dst) -> None:
+    """dst[i, j] = (a[i] - b[j]) ** 2 for one coordinate."""
+    np.subtract(a[:, None], b, out=dst)
+    np.multiply(dst, dst, out=dst)
 
 
 def sample_uniform_box(d: int, low, high, n: int, seed) -> np.ndarray:

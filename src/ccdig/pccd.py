@@ -7,32 +7,42 @@ inside a ball. Ball centers are chosen as a greedy approximate minimum
 dominating set of the catch digraph, whose arc i -> j means "the ball at
 i catches point j".
 
-`pccd_cover` works on plain arrays from end to end:
+`pccd_cover` and `classifier.train` (through `_pure_covers`) run one
+blocked pass on plain arrays:
 
-1. distances: target-to-target `dist_t` (n, n) and target-to-non-target
-   `dist_n` (n, m), each computed once; `classifier.train` computes each
-   class pair's block once for both classes' covers (`_pure_covers`);
-2. radii from both (`pccd_radii`);
-3. the closed catch matrix, `dist_t < radii[:, None]` with the diagonal
-   set (`build_pccd_digraph`);
-4. the greedy dominating set on that matrix, which keeps each vertex's
+1. nearest non-target distances (`_nearest_other`): each class pair
+   (c, c') is visited once, in row blocks of c against all of c'; a
+   block's row minima go to c's `d_near` and its column minima to c''s;
+2. per class, in row blocks of its targets: the block's distances to
+   all n targets, the block's radii from them and `d_near` (`_radii`,
+   the formula `pccd_radii` documents), and the block's rows of the
+   closed catch matrix, `dist < radii[:, None]`; then the diagonal is
+   set;
+3. the greedy dominating set on that matrix, which keeps each vertex's
    count of undominated closed neighbours current by subtracting the
    columns each pick dominates, so every column is summed once
    (`greedy_dominating_set`);
-5. the purity and properness flags, checked against the same distances;
-6. the `ClassCover` (the cover of both families) of the selected rows:
+4. the purity and properness flags, without distances: a ball holds a
+   non-target iff its center's nearest one lies inside it,
+   `d_near[sel] < radii[sel]`, and a target is covered iff a selected
+   row of the closed matrix holds it (the diagonal covers the centers);
+5. the `ClassCover` (the cover of both families) of the selected rows:
    `X[sel]`, `sel` and `radii[sel]`.
 
-Memory (n = m, d = 3, measured with tracemalloc): the two distance
-matrices hold 16 bytes per n * n cell for the whole cover, `pccd_radii`
-briefly adds 9 more and the catch matrix 1, and the peak is 25 bytes
-per cell at every n from 200 to 1600 (61 MiB at n = 1600). The distance
-kernel's work arrays add at most 1 MiB while m <= 16384 and d <= 128.
-A two-class `train` peaks the same: the second cover's `dist_n` is the
-transposed copy of the first's, which is freed before its `dist_t` is
-computed. With three or more classes, the blocks that later classes
-will transpose wait beside the current fit (three classes of 500 points
-peak at 13.5 MiB, against 9.4 MiB when each cover computed its own).
+A block holds FIT_BLOCK_BYTES of float64 distances, rows by all the
+columns. Its entries equal the full matrix's rows bit for bit, the
+(c', c) entries equal the (c, c') ones, and `min` and `any` do not depend
+on the order they read them in, so the covers are those of the full
+matrices. `pccd_radii` and `build_pccd_digraph` keep the full-matrix
+forms of steps 2 and 3.
+
+Memory (two classes, n = m, d = 3, tracemalloc over `train`): only the
+n x n boolean catch matrix, 1 byte per n * n cell, lives through a fit,
+beside per-point vectors and one block's distances, their masked copy
+and the kernel's work arrays. The peak is 1.37 bytes per cell at
+n = 1600 (3.4 MiB), 1.07 at n = 4000 (16.3 MiB) and 1.02 at n = 10000
+(97 MiB). Each class's catch matrix is freed before the next is built,
+so with more classes the largest class sets the peak.
 """
 
 from __future__ import annotations
@@ -43,6 +53,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import as_points, check_hyper, cross_distance_matrix
+
+# float64 bytes in one block of fit distances, rows by all the columns;
+# two-class fits at n = 1600 and 4000 took the same time from 256 KiB to
+# 1 MiB (2-core host), and the smallest of those keeps the peak lowest
+FIT_BLOCK_BYTES = 2**18
 
 
 class CoverBall(NamedTuple):
@@ -116,11 +131,16 @@ def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
     so r always lands in (0, d_near]. A target point duplicated in the
     non-target class has d_near = 0 and gets radius 0.
     """
-    tau = check_hyper("tau", tau)
     n = len(dist_t)
     if dist_t.shape != (n, n) or dist_n.ndim != 2 or len(dist_n) != n or dist_n.shape[1] == 0:
         raise ValueError("need (n, n) target and (n, m >= 1) non-target distance matrices")
-    d_near = dist_n.min(axis=1)
+    return _radii(dist_t, dist_n.min(axis=1), tau)
+
+
+def _radii(dist_t, d_near, tau: float) -> np.ndarray:
+    """`pccd_radii` of target rows `dist_t` (rows, n), given their
+    nearest non-target distances `d_near` (rows,)."""
+    tau = check_hyper("tau", tau)
     masked = np.where(dist_t < d_near[:, None], dist_t, -np.inf)
     d_far = masked.max(axis=1)
     d_far = np.where(d_near > 0, d_far, 0.0)
@@ -175,45 +195,59 @@ def pccd_cover(targets, nontargets, tau: float, class_id: int = 0) -> ClassCover
     Y = as_points(nontargets)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("both the target and non-target class must be non-empty")
-    return _pure_cover(X, cross_distance_matrix(X, Y), tau, class_id)
+    return _pure_cover(X, _nearest_other([X, Y])[0], tau, class_id)
 
 
 def _pure_covers(parts, tau: float) -> list[ClassCover]:
     """The pure cover of each class against the union of the others, from
-    the classes' point sets `parts`. Each class pair's block is computed
-    once: the (c', c) block is the transpose of (c, c'), bit for bit, and
-    is freed once transposed. A class's non-target columns stack in class
-    order, which the cover does not depend on: it reads them only through
-    `min` and `any`."""
-    waiting = [[] for _ in parts]  # blocks (c', c) of earlier classes c', in class order
-    covers = []
+    the classes' point sets `parts`."""
+    d_near = _nearest_other(parts)
+    return [_pure_cover(X, d_near[c], tau, c) for c, X in enumerate(parts)]
+
+
+def _block_rows(cols: int) -> int:
+    """Rows of a distance block over `cols` columns: FIT_BLOCK_BYTES of
+    float64, at least one row."""
+    return max(1, FIT_BLOCK_BYTES // (8 * cols))
+
+
+def _nearest_other(parts) -> list[np.ndarray]:
+    """For each class, every point's distance to the nearest point of
+    another class. Each class pair (c, c') is visited once, in row blocks
+    of c against all of c': a block's row minima belong to c and its
+    column minima to c'. The (c', c) entries equal the (c, c') ones bit
+    for bit, and `min` does not depend on the order it reads them in."""
+    d_near = [np.full(len(X), np.inf) for X in parts]
     for c, X in enumerate(parts):
-        blocks = []
-        while waiting[c]:
-            blocks.append(waiting[c].pop(0).T.copy())
         for later in range(c + 1, len(parts)):
-            blocks.append(cross_distance_matrix(X, parts[later]))
-            waiting[later].append(blocks[-1])
-        dist_n = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        # hold no block past its use, so a transposed one is freed before
-        # the next fit's dist_t exists
-        del blocks
-        covers.append(_pure_cover(X, dist_n, tau, c))
-        del dist_n
-    return covers
+            Y = parts[later]
+            rows = _block_rows(len(Y))
+            for i in range(0, len(X), rows):
+                block = cross_distance_matrix(X[i : i + rows], Y)
+                np.minimum(d_near[c][i : i + rows], block.min(axis=1), out=d_near[c][i : i + rows])
+                np.minimum(d_near[later], block.min(axis=0), out=d_near[later])
+    return d_near
 
 
-def _pure_cover(X: np.ndarray, dist_n: np.ndarray, tau: float, class_id: int) -> ClassCover:
-    """The pure cover of the targets X, from their distances to the
-    non-targets; see the module notes."""
-    dist_t = cross_distance_matrix(X, X)
-    radii = pccd_radii(dist_t, dist_n, tau)
-    sel = np.array(greedy_dominating_set(build_pccd_digraph(dist_t, radii)), dtype=np.int64)
+def _pure_cover(X: np.ndarray, d_near: np.ndarray, tau: float, class_id: int) -> ClassCover:
+    """The pure cover of the targets X, from their nearest non-target
+    distances; see the module notes."""
+    n = len(X)
+    rows = _block_rows(n)
+    radii = np.empty(n)
+    closed = np.empty((n, n), dtype=bool)
+    for i in range(0, n, rows):
+        dist = cross_distance_matrix(X[i : i + rows], X)
+        radii[i : i + rows] = _radii(dist, d_near[i : i + rows], tau)
+        np.less(dist, radii[i : i + rows, None], out=closed[i : i + rows])
+    np.fill_diagonal(closed, True)
+    sel = np.array(greedy_dominating_set(closed), dtype=np.int64)
     r_sel = radii[sel]
-    is_pure = not np.any(dist_n[sel] < r_sel[:, None])
-    covered = np.zeros(len(X), dtype=bool)
-    covered[sel] = True  # a dominating-set member covers itself
-    covered |= np.any(dist_t[sel] < r_sel[:, None], axis=0)
+    # a ball holds a non-target iff its nearest one lies inside it
+    is_pure = not np.any(d_near[sel] < r_sel)
+    covered = np.zeros(n, dtype=bool)
+    for i in range(0, len(sel), rows):
+        covered |= closed[sel[i : i + rows]].any(axis=0)  # the diagonal: a center covers itself
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, is_pure=is_pure, is_proper=covered.all()
     )

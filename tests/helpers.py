@@ -10,7 +10,7 @@ import numpy as np
 
 from ccdig.classifier import LARGE_GAP, SCORE_CLAMP
 from ccdig.core import LabeledDataset, as_points, check_hyper, cross_distance_matrix
-from ccdig.pccd import ClassCover, CoverBall
+from ccdig.pccd import ClassCover, CoverBall, build_pccd_digraph, greedy_dominating_set, pccd_radii
 
 
 def as_point(p) -> np.ndarray:
@@ -205,6 +205,25 @@ def distance_pair(targets, nontargets):
     cover is built from."""
     X = as_points(targets)
     return cross_distance_matrix(X, X), cross_distance_matrix(X, nontargets)
+
+
+def full_matrix_pure_cover(targets, nontargets, tau: float, class_id: int = 0) -> ClassCover:
+    """Reference pure cover from the whole (n, n) and (n, m) distance
+    matrices: radii, the closed catch matrix and the greedy dominating
+    set of the full-matrix functions, and both flags checked against
+    the distances themselves."""
+    X = as_points(targets)
+    dist_t, dist_n = distance_pair(X, nontargets)
+    radii = pccd_radii(dist_t, dist_n, tau)
+    sel = np.array(greedy_dominating_set(build_pccd_digraph(dist_t, radii)), dtype=np.int64)
+    r_sel = radii[sel]
+    is_pure = not np.any(dist_n[sel] < r_sel[:, None])
+    covered = np.zeros(len(X), dtype=bool)
+    covered[sel] = True  # a dominating-set member covers itself
+    covered |= np.any(dist_t[sel] < r_sel[:, None], axis=0)
+    return ClassCover(
+        class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, is_pure=is_pure, is_proper=covered.all()
+    )
 
 
 def exact_min_dominating_size(closed) -> int:

@@ -3,6 +3,7 @@ discriminant, persistence."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -122,8 +123,9 @@ def test_train_three_class_one_vs_rest():
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4])
 def test_pure_train_equals_one_cover_per_class(n_classes):
-    # train computes each class pair's block once and transposes it for
-    # the other class; every cover must equal pccd_cover's own
+    # train visits each class pair's block once, its row minima for one
+    # class and its column minima for the other; every cover must equal
+    # pccd_cover's own
     rng = np.random.default_rng(n_classes)
     labels = rng.permutation(np.arange(90) % n_classes)  # interleaved classes
     points = rng.random((90, 2)) + 0.3 * labels[:, None]
@@ -134,6 +136,21 @@ def test_pure_train_equals_one_cover_per_class(n_classes):
         for name in ("centers", "center_index", "radii"):
             assert np.array_equal(getattr(cover, name), getattr(alone, name))
         assert (cover.is_pure, cover.is_proper) == (alone.is_pure, alone.is_proper)
+
+
+def test_pure_train_peak_memory_per_cell():
+    # only the (n, n) boolean catch matrix lives through a fit, beside
+    # one block of distances; about 2.4 bytes per n * n cell at n = 800
+    rng = np.random.default_rng(0)
+    n = 800
+    ds = LabeledDataset(points=np.vstack([rng.random((n, 3)), 0.1 + rng.random((n, 3))]), labels=np.repeat([0, 1], n))
+    tracemalloc.start()
+    try:
+        train(ds, "pure", tau=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * n * n
 
 
 def test_train_rejects_single_class():

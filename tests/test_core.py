@@ -1,7 +1,9 @@
 """Tests for points, distances, samplers and CSV ingestion."""
 
+import gc
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,8 +115,25 @@ def test_cross_distance_matrix_is_the_broadcast_sum_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 3, 8, 9, 130])
+def test_row_blocks_are_the_full_matrix_rows_bit_for_bit(d):
+    # a pure fit computes its distances in row blocks; past PAIRWISE_MAX
+    # coordinates (d = 130) the kernel splits the sum in two
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.uniform(-3, 3, d)
+    X = rng.standard_normal((11, d)) * scale
+    Y = rng.standard_normal((6, d)) * scale
+    Y[1] = X[3]
+    X[7] = X[2]
+    full = cross_distance_matrix(X, Y).view(np.int64)
+    for rows in (1, 4, 11):  # one-row, ragged (4 + 4 + 3) and whole splits
+        blocks = [cross_distance_matrix(X[i : i + rows], Y).view(np.int64) for i in range(0, len(X), rows)]
+        assert np.array_equal(np.vstack(blocks), full), rows
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 130])
 def test_the_transposed_block_is_equal_bit_for_bit(d):
-    # a pure fit transposes the (c, c') block for the (c', c) one; past
+    # a pure fit reads each class pair's (c, c') block once, its column
+    # minima standing for the (c', c) block's row minima; past
     # PAIRWISE_MAX coordinates (d = 130) the kernel splits the sum in two
     rng = np.random.default_rng(d)
     scale = 10.0 ** rng.uniform(-3, 3, d)
@@ -123,6 +142,22 @@ def test_the_transposed_block_is_equal_bit_for_bit(d):
     Y[1] = X[3]
     got = cross_distance_matrix(Y, X)
     assert np.array_equal(got.view(np.int64), cross_distance_matrix(X, Y).T.view(np.int64))
+
+
+def test_cross_distance_matrix_frees_its_work_arrays_on_return():
+    # with the collector off, arrays held by a reference cycle stay
+    # allocated; only the (50, 400) output may remain
+    rng = np.random.default_rng(0)
+    A, B = rng.random((50, 3)), rng.random((400, 3))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        out = cross_distance_matrix(A, B)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current <= out.nbytes + 4096
 
 
 def test_cross_distance_matrix_empty_errors():

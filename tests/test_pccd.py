@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccdig.core import cross_distance_matrix
+from ccdig import pccd
+from ccdig.classifier import train
+from ccdig.core import LabeledDataset, cross_distance_matrix
 from ccdig.pccd import (
     ClassCover,
     build_pccd_digraph,
@@ -13,7 +15,14 @@ from ccdig.pccd import (
     pccd_cover,
     pccd_radii,
 )
-from helpers import distance_pair, exact_min_dominating_size, ln_bound, naive_greedy_dominating_set, random_instance
+from helpers import (
+    distance_pair,
+    exact_min_dominating_size,
+    full_matrix_pure_cover,
+    ln_bound,
+    naive_greedy_dominating_set,
+    random_instance,
+)
 
 
 def radius(x_index, targets, nontargets, tau):
@@ -190,6 +199,45 @@ def test_cover_duplicate_point_across_classes():
     assert cover.is_pure and cover.is_proper
     by_index = {b.center_index: b for b in cover.balls}
     assert by_index[0].radius == 0.0  # duplicated point keeps an empty ball
+
+
+def interleaved_classes(n_classes):
+    """90 points in n_classes interleaved, overlapping classes, with a
+    class-0 target twice and a class-0 point that is also in class 1."""
+    rng = np.random.default_rng(n_classes)
+    labels = rng.permutation(np.arange(90) % n_classes)
+    points = rng.random((90, 2)) + 0.3 * labels[:, None]
+    zero, one = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    points[zero[1]] = points[zero[0]]
+    points[one[0]] = points[zero[2]]
+    return points, labels
+
+
+def assert_same_cover(got, expected):
+    assert got.class_id == expected.class_id
+    assert np.array_equal(got.center_index, expected.center_index)
+    for name in ("centers", "radii"):
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(expected, name).view(np.int64)), name
+    assert (got.is_pure, got.is_proper) == (expected.is_pure, expected.is_proper)
+
+
+# blocks of one row; of 360 // cols rows (8 of 45 at two classes, 12 of
+# 30 at three, 15 or 16 of 22 or 23 at four), so every last block is
+# short; and one block per class
+@pytest.mark.parametrize("budget", [1, 8 * 45 * 8, 2**30], ids=["one-row", "ragged", "single"])
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+def test_blocked_covers_equal_the_full_matrix_oracle(monkeypatch, n_classes, budget):
+    monkeypatch.setattr(pccd, "FIT_BLOCK_BYTES", budget)
+    points, labels = interleaved_classes(n_classes)
+    for tau in (np.finfo(float).eps, 0.4, 1.0):
+        model = train(LabeledDataset(points=points, labels=labels), "pure", tau=tau)
+        for c, cover in enumerate(model.covers):
+            args = (points[labels == c], points[labels != c], tau)
+            expected = full_matrix_pure_cover(*args, class_id=c)
+            assert_same_cover(cover, expected)
+            assert_same_cover(pccd_cover(*args, class_id=c), expected)
+            if c < 2:  # the point in both classes keeps an empty ball
+                assert 0.0 in cover.radii
 
 
 def test_scale_invariance_of_structure():
