@@ -90,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, as_points, check_hyper, cross_distance_matrix, write_text_atomic
+from .core import LabeledDataset, _distances, as_points, check_hyper, cross_distance_matrix, write_text_atomic
 from .pccd import ClassCover, _pure_covers
 from .rwccd import rw_cover
 
@@ -273,8 +273,9 @@ def _leaf_minima(block, lo, hi, term) -> np.ndarray:
     centers, safe, zero, exponent = term
     if len(centers) <= SEEDS:
         return _dissimilarities(block, *term).min(axis=1)
-    # the kernel's own distance from each center to its nearest box point
-    gap = cross_distance_matrix(np.clip(centers, lo, hi) - centers, np.zeros((1, centers.shape[1])))
+    # the kernel's own distance from each center to its nearest box point;
+    # a difference can reach twice as_points' bound, which the kernel holds
+    gap = _distances(np.clip(centers, lo, hi) - centers, np.zeros((1, centers.shape[1])))
     bound = _scale(gap.T, safe, zero, exponent)[0]
     seeds = np.argpartition(bound, SEEDS - 1)[:SEEDS]
     best = _dissimilarities(block, *_take(term, seeds)).min(axis=1)
@@ -337,32 +338,6 @@ def _gap(minima: np.ndarray, positive_class: int) -> np.ndarray:
     return np.nan_to_num(gap, copy=False, nan=0.0, posinf=LARGE_GAP, neginf=-LARGE_GAP)
 
 
-def model_to_dict(model: CccdModel) -> dict:
-    covers = []
-    for cover, n_train in zip(model.covers, model.class_counts):
-        columns = {"center": cover.centers, "center_index": cover.center_index, "radius": cover.radii}
-        if cover.scores is not None:
-            columns["score"] = cover.scores
-        rows = zip(*(arr.tolist() for arr in columns.values()))
-        covers.append(
-            {
-                "class_id": int(cover.class_id),
-                "is_pure": cover.is_pure,
-                "is_proper": cover.is_proper,
-                "n_train": n_train,
-                "balls": [dict(zip(columns, row)) for row in rows],
-            }
-        )
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "variant": model.variant,
-        "dim": int(model.dim),
-        "hyper": dict(model.hyper),
-        "label_map": list(model.label_map),
-        "covers": covers,
-    }
-
-
 def _is_number(v) -> bool:
     """A finite JSON number that converts to float64 (bools excluded)."""
     if type(v) is int:
@@ -376,7 +351,7 @@ def _is_count(v, low: int) -> bool:
 
 
 def _check_model_doc(doc) -> None:
-    """Check a whole model document against the schema model_to_dict
+    """Check a whole model document against the schema model_to_json
     writes; the first problem found raises ValueError."""
 
     def need(ok: bool, what: str) -> None:
@@ -433,7 +408,7 @@ def _check_model_doc(doc) -> None:
 
 
 def model_from_dict(doc: dict) -> CccdModel:
-    """Model from a document in the model_to_dict schema; any departure
+    """Model from a document in the model_to_json schema; any departure
     from the schema raises ValueError."""
     _check_model_doc(doc)
     variant = doc["variant"]
@@ -461,8 +436,58 @@ def model_from_dict(doc: dict) -> CccdModel:
 
 def model_to_json(model: CccdModel) -> str:
     """JSON with full float precision; reloading reproduces predictions
-    bit-exactly."""
-    return json.dumps(model_to_dict(model), indent=2)
+    bit-exactly.
+
+    The text is exactly `json.dumps(doc, indent=2)` of the model document
+    with one object per ball (the oracle `tests/helpers.py::model_json`).
+    Everything but the ball lists goes through `json.dumps`, so label
+    names and the hyperparameter are escaped by json itself; each
+    cover's balls are written by one `%` format over a per-ball template
+    repeated once per ball (`_balls_json`)."""
+    head = json.dumps(
+        {
+            "format_version": MODEL_FORMAT_VERSION,
+            "variant": model.variant,
+            "dim": int(model.dim),
+            "hyper": dict(model.hyper),
+            "label_map": list(model.label_map),
+            "covers": [
+                {
+                    "class_id": int(cover.class_id),
+                    "is_pure": cover.is_pure,
+                    "is_proper": cover.is_proper,
+                    "n_train": n_train,
+                    "balls": [],
+                }
+                for cover, n_train in zip(model.covers, model.class_counts)
+            ],
+        },
+        indent=2,
+    )
+    # json escapes every quote inside a string, so this text is only ever the key
+    pieces = head.split('"balls": []')
+    return pieces[0] + "".join(f'"balls": {_balls_json(c)}{rest}' for c, rest in zip(model.covers, pieces[1:]))
+
+
+def _balls_json(cover: ClassCover) -> str:
+    """A cover's ball list as `json.dumps(..., indent=2)` writes it as the
+    value of a cover's "balls" key. json writes a finite float as
+    `float.__repr__` does, which `%r` calls, and an int as `%d` does."""
+    d = cover.centers.shape[1]
+    columns = [cover.centers[:, j] for j in range(d)] + [cover.center_index, cover.radii]
+    score = ""
+    if cover.scores is not None:
+        columns.append(cover.scores)
+        score = ',\n          "score": %r'
+    values = [None] * (len(columns) * cover.n_balls)
+    for j, column in enumerate(columns):
+        values[j :: len(columns)] = column.tolist()
+    center = ",\n".join(["            %r"] * d)
+    ball = (
+        f'\n        {{\n          "center": [\n{center}\n          ],'
+        f'\n          "center_index": %d,\n          "radius": %r{score}\n        }}'
+    )
+    return "[" + ",".join([ball] * cover.n_balls) % tuple(values) + "\n      ]"
 
 
 def model_from_json(text: str) -> CccdModel:

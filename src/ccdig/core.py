@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,22 @@ class DatasetFormatError(ValueError):
 def as_points(ps) -> np.ndarray:
     """Coerce a sequence of points to an (n, d) float64 matrix.
 
-    A 1-D input is read as n scalar (one-dimensional) points.
+    A 1-D input is read as n scalar (one-dimensional) points. Every
+    coordinate must be finite and at most sqrt(max_double / (8 d)) in
+    magnitude: then a squared distance between two points, at most
+    4 d times that bound squared, stays at most max_double / 2.
     """
     arr = np.asarray(ps, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"a point set must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point coordinates must be finite")
+    if arr.size:
+        bound = math.sqrt(sys.float_info.max / (8 * arr.shape[1]))
+        if not (-bound <= arr.min() and arr.max() <= bound):  # nan fails too; no (n, d) temporary
+            if not np.isfinite(arr).all():
+                raise ValueError("point coordinates must be finite")
+            raise ValueError(f"point coordinates must be at most {bound:.4g} in magnitude (d = {arr.shape[1]})")
     return arr
 
 
@@ -82,6 +90,14 @@ def cross_distance_matrix(A, B) -> np.ndarray:
         raise ValueError("cannot build a distance matrix over an empty point set")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return _distances(a, b)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`cross_distance_matrix` of non-empty (n, d) and (m, d) float64
+    matrices, without its checks. A coordinate difference of up to twice
+    the `as_points` bound squares to at most max_double / (2 d), so d of
+    them still sum without overflow."""
     n, m, d = len(a), len(b), a.shape[1]
     out = np.empty((n, m), dtype=np.float64)
     at, bt = a.T.copy(), b.T.copy()  # one contiguous row per coordinate

@@ -20,7 +20,9 @@ blocked pass on plain arrays:
    set;
 3. the greedy dominating set on that matrix, which keeps each vertex's
    count of undominated closed neighbours current by subtracting the
-   columns each pick dominates, so every column is summed once
+   columns each pick dominates, so every column is summed once; once
+   the largest count is 1, no undominated vertex catches another, and
+   the rest are appended in index order in one step
    (`greedy_dominating_set`);
 4. the purity and properness flags, without distances: a ball holds a
    non-target iff its center's nearest one lies inside it,
@@ -104,6 +106,7 @@ class ClassCover:
             raise ValueError("a cover needs k >= 1 balls: (k, d) centers and k indices, radii (and scores)")
         if not all(np.isfinite(getattr(self, name)).all() for name in names):
             raise ValueError("ball centers, radii and scores must be finite")
+        as_points(self.centers)  # the centers are a point set, held to its coordinate bound
         if np.any(self.radii < 0):
             raise ValueError("radii must be non-negative")
 
@@ -169,6 +172,11 @@ def greedy_dominating_set(closed) -> list[int]:
     undominated vertex with the most undominated vertices in its closed
     neighborhood, and marks that neighborhood dominated. Ties go to the
     lowest vertex index.
+
+    Once that largest count is 1, every undominated vertex's closed
+    neighborhood holds no undominated vertex but itself, so no pick can
+    change another's count: the rest are picked one at a time in
+    increasing index order, and they are appended in one step.
     """
     closed = np.asarray(closed, dtype=bool)
     if closed.ndim != 2 or closed.shape[0] != closed.shape[1] or not closed.diagonal().all():
@@ -177,7 +185,11 @@ def greedy_dominating_set(closed) -> list[int]:
     alive = np.ones(len(closed), dtype=bool)
     selected: list[int] = []
     while alive.any():
-        v = int(np.argmax(np.where(alive, counts, -1)))
+        live_counts = np.where(alive, counts, -1)
+        v = int(np.argmax(live_counts))
+        if live_counts[v] == 1:
+            selected.extend(np.flatnonzero(alive).tolist())
+            break
         selected.append(v)
         newly = closed[v] & alive
         alive &= ~newly

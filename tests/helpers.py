@@ -3,12 +3,14 @@
 import csv
 import io
 import itertools
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ccdig.classifier import LARGE_GAP, SCORE_CLAMP
+from ccdig.classifier import LARGE_GAP, MODEL_FORMAT_VERSION, SCORE_CLAMP, CccdModel
 from ccdig.core import LabeledDataset, as_points, check_hyper, cross_distance_matrix
 from ccdig.pccd import ClassCover, CoverBall, build_pccd_digraph, greedy_dominating_set, pccd_radii
 
@@ -25,6 +27,13 @@ def as_point(p) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
     return arr
+
+
+def coordinate_bound(d: int) -> float:
+    """The largest coordinate magnitude `as_points` accepts in d
+    dimensions: two points within it are at most max_double / 2 apart
+    squared."""
+    return math.sqrt(sys.float_info.max / (8 * d))
 
 
 def random_instance(seed, dims=(1, 2, 5), n_range=(5, 60), m_range=(5, 60)):
@@ -411,6 +420,40 @@ def dataset_to_csv(ds: LabeledDataset) -> str:
     for pt, lab in zip(ds.points, ds.labels):
         writer.writerow([repr(float(v)) for v in pt] + [ds.label_names[lab]])
     return out.getvalue()
+
+
+def model_to_dict(model: CccdModel) -> dict:
+    """The model document with one dict per ball, built from `tolist()`
+    values: the schema `model_to_json` writes."""
+    covers = []
+    for cover, n_train in zip(model.covers, model.class_counts):
+        columns = {"center": cover.centers, "center_index": cover.center_index, "radius": cover.radii}
+        if cover.scores is not None:
+            columns["score"] = cover.scores
+        rows = zip(*(arr.tolist() for arr in columns.values()))
+        covers.append(
+            {
+                "class_id": int(cover.class_id),
+                "is_pure": cover.is_pure,
+                "is_proper": cover.is_proper,
+                "n_train": n_train,
+                "balls": [dict(zip(columns, row)) for row in rows],
+            }
+        )
+    return {
+        "format_version": MODEL_FORMAT_VERSION,
+        "variant": model.variant,
+        "dim": int(model.dim),
+        "hyper": dict(model.hyper),
+        "label_map": list(model.label_map),
+        "covers": covers,
+    }
+
+
+def model_json(model: CccdModel) -> str:
+    """`json.dumps` of the whole model document: the reference for
+    `model_to_json`'s template writer."""
+    return json.dumps(model_to_dict(model), indent=2)
 
 
 def feature_matrix(text: str, label_columns: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from helpers import (
     array_cover,
     discriminant_gap,
     median_leaves,
+    model_json,
     random_instance,
     scaled_dissimilarity,
     weighted_dissimilarity,
@@ -564,6 +565,28 @@ def test_json_roundtrip_is_stable():
         assert doc["format_version"] == 1
         assert set(doc) == {"format_version", "variant", "dim", "hyper", "label_map", "covers"}
         assert {"class_id", "is_pure", "is_proper", "n_train", "balls"} <= set(doc["covers"][0])
+
+
+_ODD_LABELS = ('say "hi"', "back\\slash", "two\nlines", "naïve ✓", "")
+
+
+@pytest.mark.parametrize("variant", ["pure", "random_walk"])
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_model_to_json_is_json_dumps_of_the_document(variant, d, k):
+    rng = np.random.default_rng(10 * d + k)
+    n = 1 + 12 * (k - 1)  # class 0 holds one point: a one-ball cover
+    points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    points[0] = [(-0.0, 5e-324, 1e150)[j % 3] for j in range(d)]
+    points[1] = points[0]  # in classes 0 and 1: zero radii in a pure cover
+    points[2:5, 0] = -0.0, 5e-324, 1e150
+    labels = np.concatenate([[0], np.repeat(np.arange(1, k), 12)])
+    names = tuple(_ODD_LABELS[(k + j) % len(_ODD_LABELS)] for j in range(k))
+    model = train(LabeledDataset(points=points, labels=labels, label_names=names), variant, tau=0.3, e=0.7)
+    assert model.covers[0].n_balls == 1
+    if variant == "pure":
+        assert model.covers[0].radii[0] == 0.0
+    assert model_to_json(model) == model_json(model)
 
 
 def test_save_load_predict_bit_exact(tmp_path):

@@ -95,6 +95,29 @@ def test_out_directory_is_data_error_leaving_no_temp_file(toy_csv, tmp_path, cap
     assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
+@pytest.mark.parametrize("command", ["train pure", "train random_walk", "predict", "predict model"])
+def test_coordinates_whose_squares_overflow_are_one_line_data_errors(toy_csv, tmp_path, capsys, recwarn, command):
+    # (1e200 - 0) ** 2 overflows to inf; the point set is rejected before any distance
+    model, out = tmp_path / "model.json", tmp_path / "out"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    if command == "predict model":
+        doc = json.loads(model.read_text())
+        doc["covers"][0]["balls"][0]["center"] = [1e200, 0.0]
+        model.write_text(json.dumps(doc))
+    if command.startswith("predict"):
+        queries = [(1, 1), ("1e200", "1e200")] if command == "predict" else [(1, 1)]
+        argv = ["predict", "--model", str(model), "--data", str(features_csv(tmp_path, queries))]
+    else:
+        huge = tmp_path / "huge.csv"
+        huge.write_text(TOY + "\n1e200,0,right\n")
+        argv = ["train", "--data", str(huge), "--variant", command.split()[1]]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: point coordinates must be at most ")
+    assert not recwarn.list and not out.exists()
+
+
 def test_predict_round_trip_self_consistency(toy_csv, tmp_path):
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(toy_csv), "--tau", "0.5", "--out", str(model)]) == 0

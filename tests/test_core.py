@@ -2,6 +2,7 @@
 
 import gc
 import io
+import math
 import re
 import tracemalloc
 
@@ -20,7 +21,7 @@ from ccdig.core import (
     parse_feature_csv,
     sample_uniform_box,
 )
-from helpers import broadcast_distance_matrix, dataset_to_csv, distance, feature_matrix
+from helpers import broadcast_distance_matrix, coordinate_bound, dataset_to_csv, distance, feature_matrix
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -49,6 +50,22 @@ def test_distance_dimension_mismatch():
 def test_distance_rejects_non_finite():
     with pytest.raises(ValueError):
         distance((np.nan,), (0.0,))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_coordinates_up_to_the_bound_give_finite_distances(d, recwarn):
+    bound = coordinate_bound(d)
+    pts = np.array([[bound] * d, [-bound] * d, [0.0] * d])
+    dist = cross_distance_matrix(pts, pts)
+    assert np.isfinite(dist).all() and dist[0, 1] == pytest.approx(2 * bound * math.sqrt(d), rel=1e-15)
+    assert not recwarn.list
+    pts[1, -1] = -np.nextafter(bound, np.inf)
+    with pytest.raises(ValueError, match=r"^point coordinates must be at most .* in magnitude \(d = %d\)$" % d):
+        cross_distance_matrix(pts, pts[:1])
+    for bad in (np.nan, np.inf, -np.inf):
+        pts[1, -1] = bad
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            LabeledDataset(points=pts, labels=[0, 1, 1])
 
 
 @settings(max_examples=100)
@@ -282,6 +299,10 @@ def test_roundtrip_identity_property(rows):
     raw_labels = [r[1] for r in rows]
     names = list(dict.fromkeys(raw_labels))
     labels = np.array([names.index(l) for l in raw_labels], dtype=np.int64)
+    if np.abs(points).max() > coordinate_bound(points.shape[1]):
+        with pytest.raises(ValueError, match="^point coordinates must be at most "):
+            LabeledDataset(points=points, labels=labels, label_names=tuple(names))
+        return
     ds = LabeledDataset(points=points, labels=labels, label_names=tuple(names))
     again = parse_dataset(dataset_to_csv(ds))
     np.testing.assert_array_equal(ds.points, again.points)
@@ -340,9 +361,13 @@ def test_parse_converts_each_cell_as_float_does(rows, parser):
     text = ",".join(header) + "".join(
         "\n" + ",".join(row + ["ab"[i % 2]] * label_columns) for i, row in enumerate(rows)
     )
+    expected = feature_matrix(text, label_columns)
+    if label_columns and np.abs(expected).max() > coordinate_bound(expected.shape[1]):
+        with pytest.raises(ValueError, match="^point coordinates must be at most "):
+            parser(text)
+        return
     result = parser(text)
     points = result.points if label_columns else result[0]
-    expected = feature_matrix(text, label_columns)
     assert points.shape == expected.shape and points.dtype == np.float64
     assert points.tobytes() == expected.tobytes()
 

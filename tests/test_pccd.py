@@ -122,6 +122,19 @@ def test_greedy_tie_break_lowest_index():
     assert greedy_dominating_set(np.ones((2, 2), dtype=bool)) == [0]
 
 
+def test_greedy_appends_the_count_one_tail_in_index_order():
+    # vertex 3 catches 0, 2, 5, 7 and 8; each of 1, 4, 6 and 9 then has no
+    # undominated vertex but itself in its row, though 4 and 6 catch
+    # dominated ones and dominated 8 catches 9
+    closed = np.eye(10, dtype=bool)
+    closed[3, [0, 2, 5, 7, 8]] = True
+    closed[4, 5] = closed[6, 2] = closed[8, 9] = True
+    sel = greedy_dominating_set(closed)
+    assert sel == [3, 1, 4, 6, 9]
+    assert all(type(v) is int for v in sel)
+    assert sel == naive_greedy_dominating_set(closed)
+
+
 def test_greedy_rejects_a_matrix_that_is_not_a_closed_catch_matrix():
     with pytest.raises(ValueError):
         greedy_dominating_set(np.ones((2, 3), dtype=bool))
