@@ -350,9 +350,12 @@ def _is_count(v, low: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and low <= v <= sys.maxsize
 
 
-def _check_model_doc(doc) -> None:
-    """Check a whole model document against the schema model_to_json
-    writes; the first problem found raises ValueError."""
+def model_from_dict(doc: dict) -> CccdModel:
+    """Model from a document in the model_to_json schema; the first
+    departure from the schema raises ValueError. This is the one walk over
+    the document: it checks each value and keeps it with its ball. The
+    covers are built only after the whole document has passed, so a later
+    schema fault wins over an earlier center past the coordinate bound."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -378,6 +381,7 @@ def _check_model_doc(doc) -> None:
         isinstance(labels, list) and len(labels) == len(covers) and all(isinstance(v, str) for v in labels),
         "label_map must name each class with a string",
     )
+    kept = []  # per cover: its flags, then its balls' columns
     for c, cd in enumerate(covers):
         at = f"covers[{c}]"
         need(isinstance(cd, dict), f"{at} must be an object")
@@ -389,6 +393,7 @@ def _check_model_doc(doc) -> None:
         need(_is_count(n_train, 1), f"{at}.n_train must be a positive integer")
         balls = cd["balls"]
         need(isinstance(balls, list) and len(balls) > 0, f"{at}.balls must be a non-empty list")
+        rows = []  # each ball's (center, center_index, radius, score)
         for b, bd in enumerate(balls):
             at = f"covers[{c}].balls[{b}]"
             need(isinstance(bd, dict), f"{at} must be an object")
@@ -401,36 +406,23 @@ def _check_model_doc(doc) -> None:
             need(_is_count(index, 0) and index < n_train, f"{at}.center_index must be in [0, n_train)")
             radius = bd.get("radius")
             need(_is_number(radius) and radius >= 0, f"{at}.radius must be a finite number >= 0")
+            score = bd.get("score")
             if variant == VARIANT_RW:
-                need(_is_number(bd.get("score")), f"{at}.score must be a finite number")
+                need(_is_number(score), f"{at}.score must be a finite number")
             else:
                 need("score" not in bd, f"{at} must not carry a score in a pure model")
-
-
-def model_from_dict(doc: dict) -> CccdModel:
-    """Model from a document in the model_to_json schema; any departure
-    from the schema raises ValueError."""
-    _check_model_doc(doc)
-    variant = doc["variant"]
-    covers = tuple(  # ClassCover turns each list into an array in one np.array call
-        ClassCover(
-            class_id=cd["class_id"],
-            centers=[b["center"] for b in cd["balls"]],
-            center_index=[b["center_index"] for b in cd["balls"]],
-            radii=[b["radius"] for b in cd["balls"]],
-            is_pure=cd["is_pure"],
-            is_proper=cd["is_proper"],
-            scores=[b["score"] for b in cd["balls"]] if variant == VARIANT_RW else None,
-        )
-        for cd in doc["covers"]
-    )
+            rows.append((center, index, radius, score))
+        kept.append((cd["is_pure"], cd["is_proper"], *zip(*rows)))
     return CccdModel(
         variant=variant,
-        covers=covers,
-        hyper=dict(doc["hyper"]),
-        dim=doc["dim"],
-        label_map=tuple(doc["label_map"]),
-        class_counts=tuple(cd["n_train"] for cd in doc["covers"]),
+        covers=tuple(  # ClassCover turns each column into an array in one np.array call
+            ClassCover(c, centers, index, radii, is_pure, is_proper, scores if variant == VARIANT_RW else None)
+            for c, (is_pure, is_proper, centers, index, radii, scores) in enumerate(kept)
+        ),
+        hyper=dict(hyper),
+        dim=dim,
+        label_map=tuple(labels),
+        class_counts=tuple(cd["n_train"] for cd in covers),
     )
 
 

@@ -137,13 +137,12 @@ def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
     n = len(dist_t)
     if dist_t.shape != (n, n) or dist_n.ndim != 2 or len(dist_n) != n or dist_n.shape[1] == 0:
         raise ValueError("need (n, n) target and (n, m >= 1) non-target distance matrices")
-    return _radii(dist_t, dist_n.min(axis=1), tau)
+    return _radii(dist_t, dist_n.min(axis=1), check_hyper("tau", tau))
 
 
 def _radii(dist_t, d_near, tau: float) -> np.ndarray:
     """`pccd_radii` of target rows `dist_t` (rows, n), given their
-    nearest non-target distances `d_near` (rows,)."""
-    tau = check_hyper("tau", tau)
+    nearest non-target distances `d_near` (rows,), with tau already checked."""
     masked = np.where(dist_t < d_near[:, None], dist_t, -np.inf)
     d_far = masked.max(axis=1)
     d_far = np.where(d_near > 0, d_far, 0.0)
@@ -207,7 +206,7 @@ def pccd_cover(targets, nontargets, tau: float, class_id: int = 0) -> ClassCover
     Y = as_points(nontargets)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("both the target and non-target class must be non-empty")
-    return _pure_cover(X, _nearest_other([X, Y])[0], tau, class_id)
+    return _pure_cover(X, _nearest_other([X, Y])[0], check_hyper("tau", tau), class_id)
 
 
 def _pure_covers(parts, tau: float) -> list[ClassCover]:

@@ -707,3 +707,15 @@ def test_pure_model_json_with_a_score_is_rejected():
     doc["covers"][1]["balls"][0]["score"] = 1.0
     with pytest.raises(ValueError, match=r"covers\[1\]\.balls\[0\] must not carry a score"):
         model_from_json(json.dumps(doc))
+
+
+def test_a_schema_fault_in_a_later_cover_wins_over_an_earlier_coordinate_fault():
+    # the covers are built only after the whole document has passed the schema
+    doc = json.loads(json.dumps(_VALID_DOCS["pure"]))
+    doc["covers"][0]["balls"][0]["center"] = [1e200, 0.0]
+    doc["covers"][1]["balls"][0]["radius"] = -1.0
+    with pytest.raises(ValueError, match=r"^invalid model: covers\[1\]\.balls\[0\]\.radius must be a finite number >= 0$"):
+        model_from_json(json.dumps(doc))
+    doc["covers"][1]["balls"][0]["radius"] = 1.0
+    with pytest.raises(ValueError, match="^point coordinates must be at most "):
+        model_from_json(json.dumps(doc))

@@ -51,6 +51,12 @@ def test_radius_tau_validation():
             radius(0, [0.0], [1.0], bad)
 
 
+def test_cover_tau_validation():
+    for bad in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="tau"):
+            pccd_cover([[0.0], [0.4]], [[1.0]], bad)
+
+
 def test_radius_requires_nontargets():
     with pytest.raises(ValueError):
         pccd_radii(np.zeros((1, 1)), np.empty((1, 0)), 0.5)
