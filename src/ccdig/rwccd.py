@@ -17,92 +17,74 @@ balls cover nothing, not even their own center). The cover is a
 `pccd.ClassCover` whose arrays hold the centers, radii and scores in
 selection order.
 
-`rw_cover` sorts each row of the (n, n + m) target-to-all distance
-matrix once per fit and keeps, in sorted order, a mask of the entries
-that are not the last of their run of equal radii. The sort need not be
-stable, because the cover never reads the order of the points inside a
-run. It reads only three things from a sorted row:
-run ends, through the mask; whole-run prefixes, since a closed ball ends
-at `searchsorted(..., side="right")`; and the sorted values, through
-`_cutoff`. A walk over a prefix cut inside a run masks the truncated run
-as inner, so no partial run's count is read.
+Candidates. `rw_cover` sorts the (n, n + m) target-to-all distance
+matrix once per fit, row by row; the alive points of a row fall into
+runs of equal radii, and a closed ball reads R_x at a run's end. As w >
+0, R_x rises only at targets, so it strictly increases over the run ends
+between one alive non-target's run and the next. Its first maximum thus
+sits at the last run end before some alive non-target's run, or at the
+last run end of the row. Each alive target's row keeps m + 1 candidate
+columns: column j < m for its j-th nearest non-target, alive or dead,
+holding the packed count (below) of the alive points strictly nearer
+than it, and column m for every alive point. So every column reads R_x
+exactly at an alive run end, the columns run in order of that radius,
+and they include the run end of the first maximum: the first maximum
+over the columns is the walk's, radius included. A dead non-target's
+column only repeats the value of a run end that some column reads
+anyway. The one masked candidate is a non-target at distance 0, which
+has no run before its own: its column holds 2**shift - 1 non-targets
+and no target, a walk value below the last column's w * n_alive -
+m_alive (zero, up to the rounding of w), and no update reaches it.
 
-Rows stay whole and sorted: between iterations only liveness changes.
-Every point has an int32 code, 1 << shift for a target and 1 for a
-non-target, with shift = max(1, m.bit_length()), so m < 2**shift. The
-packed count s at sorted position j of a row is the sum of the codes of
-the alive points at positions 0..j: it holds the alive-target count
-s >> shift and the alive-non-target count s & (2**shift - 1) of the
-candidate radius at j. The counts are exact while the largest,
-(n << shift) + m, fits in an int32, that is while (n + 1) << shift <=
-2**31; a fit beyond that has at least 2**30 cells (30 GiB at the peak
-below), and it raises ValueError before its distance matrix is computed.
+Radius. A pick's radius is the distance of the last alive point before
+its column's run. `before[i, j]`, the sorted position just before that
+run, is fixed; the walk steps back from it over dead points in the
+row's sort order, kept as int32, in windows of 8, 32, 128, ... The
+row's own target is alive at distance 0, so every step ends. The
+distance is recomputed from the two points (`_lengths`), bit for bit
+the kernel's, so no sorted distances are kept. The closed ball is the
+center's sorted row up to that point, and the dead points after it at
+the same distance, which matter only to the properness flag; so the
+flags come from the points each pick covers.
 
-The packed counts of every alive row are part of the fit's state
-(`_PrefixCounts`). One int32 prefix sum computes them once; after each
-pick, what the pick removed is subtracted. The newly covered columns sit
-in every row at the positions that `rank`, the inverse of the row sort,
-gives. Sorted per row, those positions make the loss a step function,
-which one `np.repeat` builds and one in-place subtraction applies. At
-n=m=800 with 80% of the points alive (2-core host, medians of 21 calls)
-a walked cell costs 3.4-3.7 ns (row gathers 0.5, kernel 2.9-3.1) and an
-updated cell 0.9-1.1 ns, where the walk that gathered the codes and took
-their prefix sum in every iteration cost 10.3 ns. The rows of covered
-targets stay until an eighth of the count rows is dead and then go in
-one copy: compacting at every pick made the pruned n=1000, m=100 fit 6%
-slower. Only run ends are candidates; a run of covered points alone
-repeats the walk value of the run before it, so the first maximum is
-the smallest alive radius, exactly as if the alive submatrix had been
-sorted afresh. A pick's closed ball is a prefix of its center's sorted
-row, the columns whose rank lies below the `searchsorted` bound, covered
-or not; so the purity and properness flags come from the points each
-pick covers, and the distance matrix is dropped once its rows are
-sorted.
+Counts. Every point has an int32 code, 1 << shift for a target and 1
+for a non-target, with shift = max(1, m.bit_length()), so m < 2**shift.
+A packed count s, a sum of the codes of alive points, holds the target
+count s >> shift and the non-target count s & (2**shift - 1). The counts
+are exact while the largest, (n << shift) + m, fits in an int32, that is
+while (n + 1) << shift <= 2**31; a fit beyond that has at least 2**30
+cells, and it raises ValueError before its distance matrix is computed.
+The set-up takes one argsort and one in-place sort per row, the run
+mask, one int32 cumsum of the codes in sorted order, the counts at the
+non-targets' positions, and one scatter of each point's key, the number
+of non-targets at or below its distance, into column order. Where every
+run is one point, as continuous data almost always gives, a
+non-target's count is its prefix sum less its own code; in a row with a
+longer run, running extrema carry the sums over each run. A point
+counts in column j iff its key is at most j, so a pick's dead points
+leave every column from their key on: per row, their keys, each with
+its code in the bits below it, are sorted, and one `np.repeat` builds
+the step function the counts lose. The rows of the targets a pick
+covers leave the table at once. The cover never reads the order of the
+points inside a run, so the sort need not be stable.
 
-Most rows need not be walked in full, because the length penalty grows
-with the radius. Every walk value fl(w * count_t) - count_n is at most
-fl(w * n_alive): rounding is monotone, count_t <= n_alive and count_n
->= 0. The penalty, computed by the same expression, cannot fall as the
-radius grows. So a row's score at sorted column J or beyond is at most
-fl(w * n_alive) - penalty(sorted_d[x, J]), exactly, with no epsilon.
-Each iteration first walks a pool of up to POOL rows in full: the rows
-with the best exact scores of the previous iteration that are still
-alive. Their best score S is a floor for the winner. Bisection over the
-columns finds the first column J at which the bound of every other row
-is below S; those rows are walked over the columns [0, J) only. A row
-whose best radius lies in the prefix gets its true score there; one
-whose best radius lies at J or beyond scores below S. So only the rows
-whose prefix score reaches S are walked in full, and every other row
-scores below S and can neither win nor tie. The pick, its radius and
-its score are the full walk's, including the lowest-index tie rule.
+Memory, in bytes per n * (n + m) cell, with c = 4 (m + 1) / (n + m) for
+each int32 table of candidates (0.37 at n=1000, m=100; 2.0 at
+n=m=800; 3.6 at n=100, m=1000):
 
-Pruning engages only where it pays. An iteration with fewer than
-PRUNE_MIN_CELLS (alive rows x alive columns) cells walks every row in
-full. The constant, 2**17, was measured again with the kept counts
-(2-core host, medians of 8-14 interleaved fits of shifted d=3 sets, in
-two measurement runs; fits on the same path differed by up to 15%): at
-2**16, n=200 covers prune and lose 5-9% at m=100 and 21-40% at m=200;
-at 2**18 and 2**19, n=m=400 covers gain 2-11% but the n=1000, m=100
-cover loses 4-5%. Neither a POOL of 16 nor one of 64 beat 32 on that
-cover in both runs. Balanced covers above the constant lose to
-pruning: a walked cell now costs less, while the pool, the bisection
-and the verifying walks do not (n=m=400: 46-59 ms unpruned against
-50-69 ms; n=m=800: 348-362 against 361-381 ms). On the n=1000, m=100
-class cover the walked cells fall from 124.7 M, every row in full, to
-35.0 M, and the fit from 635-710 to 397-446 ms.
+    distances, while the rows are sorted       8
+    numpy's intp argsort, until the set-up ends 8
+    run mask and non-target mask, in set-up    2
+    packed prefix sums, in set-up              4
+    keys (int32, by column), for the fit       4
+    sort order (int32), for the fit            4
+    counts and `before`, for the fit           2c
+    a walk: float64 values and count_n         3c
 
-Memory (tracemalloc, d=3): the sorted distances (8 bytes per
-n * (n + m) cell), `rank` (4), the run mask (1) and the packed counts
-(4) live for the whole fit. The distance matrix lives only until its
-rows are sorted, beside numpy's intp argsort and the sorted copy (24
-bytes per cell). The argsort feeds `rank` and the first counts and is
-dropped; no index array is ever converted to intp. The peak, 30.3
-bytes per cell (31.8 MiB at n=1000, m=100 and 37.0 MiB at n=m=800),
-comes at the first walk, whose copy of the counts (4), run mask (1) and
-float64 walk values (8) come on top of the live 17. An update's step,
-4 bytes per count cell, is freed before the next walk.
-The distance kernel's work arrays add at most 1 MiB while
-n + m <= 16384 and d <= 128.
+The peak (tracemalloc, d=3, shifted boxes) is 17.8 bytes per cell at
+n=1000, m=100, 21.1 at n=m=800 and 27.2 at n=100, m=1000; where m is
+large the walk's 3c sets it. The distance kernel's work arrays add at
+most 1 MiB while n + m <= 16384 and d <= 128.
 """
 
 from __future__ import annotations
@@ -111,13 +93,6 @@ import numpy as np
 
 from .core import as_points, cross_distance_matrix
 from .pccd import ClassCover
-
-# rows walked in full first, to set the floor that prunes the others;
-# neither 16 nor 64 beat 32 on the n=1000, m=100 cover (the module notes)
-POOL = 32
-# iterations with fewer (alive rows x alive columns) cells walk every row
-# in full; the module notes give the measured crossover
-PRUNE_MIN_CELLS = 2**17
 
 
 def _packing_shift(n: int, m: int) -> int:
@@ -130,74 +105,134 @@ def _packing_shift(n: int, m: int) -> int:
     return shift
 
 
-def _first_max_walk(sums, run, shift: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the packed prefix counts `sums`, the sorted position of
-    the walk's first maximum over run ends (where `run` is False), and
-    that walk value; `sums` is overwritten."""
+def _first_max_walk(sums, shift: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the packed candidate counts `sums`, the column of the
+    walk's first maximum and that walk value."""
     walk = np.right_shift(sums, shift, out=np.empty(sums.shape))  # count_t, converted exactly
     walk *= weight
-    walk -= np.bitwise_and(sums, (1 << shift) - 1, out=sums)  # count_n
-    # only the last entry of a run of equal radii carries the full count;
-    # a run of dead entries repeats the walk value of the run before it,
-    # so the first max is still the smallest live radius
-    np.copyto(walk, -np.inf, where=run)
+    walk -= sums & ((1 << shift) - 1)  # count_n
     best = np.argmax(walk, axis=1)
     return best, walk[np.arange(len(walk)), best]
 
 
-class _PrefixCounts:
-    """The packed prefix counts of one fit's sorted rows, kept across picks
-    (see the module notes).
+class _Candidates:
+    """The packed counts of one fit at its candidate columns, kept across
+    picks (see the module notes).
 
-    `counts[i, j]` is the packed count of the alive points at sorted
-    positions 0..j of the row of target `targets[i]`; `targets` holds
-    every alive target in increasing order, and the rows of targets
-    covered since the last compaction. `rank[c, x]` is the sorted position
-    of column c in the row of target x, the inverse of the row sort.
+    Row i belongs to target `targets[i]`; `targets` holds the alive
+    targets in increasing order. Column j < m of a row stands for the
+    row's j-th nearest non-target: `counts[i, j]` is the packed count of
+    the alive points strictly nearer than it, and `before[i, j]` the
+    sorted position just before its run. Column m holds the packed count
+    of every alive point, and `before` the row's last position. A
+    non-target at distance 0 has no run before its own; its column holds
+    2**shift - 1 non-targets and no target, a walk value below column m's
+    that no update reaches. `key[c, x]` is the number of non-targets at or
+    below the distance of column c in the row of target x, `order[x]` that
+    row's sort, and `code[c]` the code of column c.
     """
 
-    def __init__(self, order, n: int, shift: int):
+    def __init__(self, order, end, n: int, shift: int):
         rows, cols = order.shape
+        m = cols - n
         self.n, self.shift = n, shift
-        self.rank = np.empty((cols, rows), dtype=np.int32)
-        self.rank[order, np.arange(rows)[:, None]] = np.arange(cols, dtype=np.int32)
+        low = (1 << shift) - 1
+        nontarget = order >= n
         # every point is alive: code 1 << shift for a target, 1 for a non-target
-        self.counts = np.multiply(order < n, np.int32((1 << shift) - 1), dtype=np.int32)
-        self.counts += 1
-        np.cumsum(self.counts, axis=1, out=self.counts)  # in place: int32 in, int32 out
+        sums = np.multiply(nontarget, np.int32(-low), dtype=np.int32)
+        sums += 1 << shift
+        np.add.accumulate(sums, axis=1, out=sums)  # in place, in int32
+        # where every run of equal radii is one point, the count strictly
+        # before a non-target's run is its prefix sum less its own code, 1
+        self.counts = np.empty((rows, m + 1), dtype=np.int32)
+        self.counts[:, :m] = np.compress(nontarget.ravel(), sums.ravel()).reshape(rows, m)
+        self.counts[:, :m] -= 1
+        self.counts[:, m] = (n << shift) + m
+        ties = not end.all()  # a run of equal radii holds two or more points
+        if ties:
+            tied = np.flatnonzero(~end.all(axis=1))
+            tied_sums, tied_end = sums[tied], end[tied]
+            # the count strictly before a run is the prefix sum at the end of
+            # the run before it; prefix sums only grow, so a running maximum
+            # carries it through the run
+            prior = np.zeros(tied_sums.shape, dtype=np.int32)
+            np.copyto(prior[:, 1:], tied_sums[:, :-1], where=tied_end[:, :-1])
+            np.maximum.accumulate(prior, axis=1, out=prior)
+            self.counts[tied, :m] = prior[nontarget[tied]].reshape(len(tied), m)
+            # and the prefix sum at the end of a run, carried back through it
+            np.copyto(tied_sums, np.iinfo(np.int32).max, where=~tied_end)
+            back = tied_sums[:, ::-1]
+            np.minimum.accumulate(back, axis=1, out=back)
+            sums[tied] = tied_sums
+            del tied_sums, tied_end, prior
+        del nontarget
+        self.before = np.right_shift(self.counts, shift)
+        self.before += self.counts & low
+        self.before -= 1
+        if ties:  # only a non-target at distance 0 counts nothing before its run
+            self.counts[self.counts == 0] = low
+        sums &= low  # the non-targets at or below each sorted distance
+        self.key = np.empty((cols, rows), dtype=np.int32)
+        self.key[order, np.arange(rows)[:, None]] = sums
+        del sums
+        self.order = order.astype(np.int32)
         self.targets = np.arange(rows)
+        self.code = np.full(cols, 1 << shift)
+        self.code[n:] = 1
 
-    def walk(self, inner, rows, cols: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
-        """`_first_max_walk` of the alive targets `rows` over their first
-        `cols` sorted columns; `inner` is the run mask by target."""
-        sums = self.counts[np.searchsorted(self.targets, rows), :cols]  # a copy
-        return _first_max_walk(sums, inner[rows, :cols], self.shift, weight)
+    def last_alive(self, best, alive) -> tuple[np.ndarray, np.ndarray]:
+        """Per alive target, the sorted position in its row of the last
+        alive point before the run of candidate `best`, and its column."""
+        # int32 tables, intp indices: numpy converts an int32 index on each use
+        pos = self.before[np.arange(len(best)), best].astype(np.intp)
+        found = self.order[self.targets, pos].astype(np.intp)
+        live = alive[found]
+        todo = np.arange(0) if live.all() else np.flatnonzero(~live)
+        width = 8
+        while len(todo):
+            # the row's own target is alive at distance 0, so every row stops
+            # at or after its first sorted position
+            back = np.maximum(pos[todo, None] - np.arange(1, width + 1), 0)
+            cols = self.order[self.targets[todo, None], back]
+            live = alive[cols]
+            first = np.argmax(live, axis=1)
+            hit = live[np.arange(len(todo)), first]
+            pos[todo] = np.where(hit, back[np.arange(len(todo)), first], back[:, -1])
+            found[todo] = cols[np.arange(len(todo)), first]
+            todo = todo[~hit]
+            width = min(4 * width, self.order.shape[1])
+        return pos, found
 
     def remove(self, dead, alive) -> None:
-        """Take the newly covered columns `dead` out of the counts; `alive`
-        is the liveness of every column after the pick."""
+        """Take the newly covered columns `dead` out of the counts and the
+        covered targets' rows out of the table; `alive` is the liveness of
+        every column after the pick."""
         keep = alive[self.targets]
-        kept = np.count_nonzero(keep)
-        if kept == 0:
+        self.targets = self.targets[keep]
+        if not len(self.targets):
             return  # the cover is complete
-        # compacting at every pick costs more than updating a few dead rows
-        if 8 * (len(keep) - kept) >= len(keep):
-            self.targets = self.targets[keep]
-            self.counts = self.counts[keep]
-        # per count row, the sorted positions of the dead columns, each with
-        # its code in the bits below it, in increasing order
+        self.counts = self.counts[keep]
+        self.before = self.before[keep]
+        # per count row, the keys of the dead columns, each with its code in
+        # the bits below it, in increasing order
         low = self.shift + 1  # every code is below 2**low
-        keys = self.rank[dead][:, self.targets].T.astype(np.int64)
-        keys <<= low
-        keys |= np.where(dead < self.n, 1 << self.shift, 1)
+        keys = np.left_shift(self.key[dead][:, self.targets].T, low, dtype=np.int64)
+        keys |= self.code[dead]
         keys.sort(axis=1)
-        # per row, the count lost at and after each position: a step function
+        # per row, the count lost at and after each key: a step function
         step = np.zeros((len(keys), len(dead) + 1), dtype=np.int32)
         np.cumsum(keys & ((1 << low) - 1), axis=1, out=step[:, 1:])
         ends = np.empty((len(keys), len(dead) + 2), dtype=np.int64)
         ends[:, 0], ends[:, -1] = 0, self.counts.shape[1]
         np.right_shift(keys, low, out=ends[:, 1:-1])
         self.counts -= np.repeat(step.ravel(), (ends[:, 1:] - ends[:, :-1]).ravel()).reshape(self.counts.shape)
+
+
+def _lengths(diff) -> np.ndarray:
+    """The length of each row of `diff`: numpy's float64 sum of the
+    squares, which `cross_distance_matrix` reproduces bit for bit, so the
+    length of a - b is the kernel's distance between a and b."""
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def _penalty(radii, dmax0, n_alive: int) -> np.ndarray:
@@ -207,36 +242,14 @@ def _penalty(radii, dmax0, n_alive: int) -> np.ndarray:
     return radii / dmax0 * (n_alive / 2.0)
 
 
-def _cutoff(sorted_d, rows, dmax0, n_alive: int, ceiling: float, floor: float) -> int:
-    """First sorted column J >= 1 such that no row of `rows` can score
-    `floor` or more with a radius at column J or beyond.
-
-    `ceiling` bounds every walk value, so ceiling - penalty(sorted_d[x, j])
-    bounds every score at column j or beyond; it does not rise with j,
-    and bisection finds J (the column count if no column qualifies).
-    Column 0 of an alive row is its own zero distance, whose bound is the
-    ceiling itself, so J >= 1 holds anyway; the search starts there.
-    """
-    lo, hi = 1, sorted_d.shape[1]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (ceiling - _penalty(sorted_d[rows, mid], dmax0, n_alive)).max() < floor:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     """Greedy random-walk ball cover of the target class.
 
     Each iteration finds every remaining center's best radius over the
-    still-uncovered points (from rows sorted once, see the module notes),
-    selects the highest score (lowest original index on ties), and
-    removes everything the chosen closed ball covers. d_max is taken over
-    all original targets, once. Only rows that could change the pick are
-    walked in full (see the module notes on pruning); every pick, radius
-    and score is the full walk's.
+    still-uncovered points (from counts kept at candidate radii, see the
+    module notes), selects the highest score (lowest original index on
+    ties), and removes everything the chosen closed ball covers. d_max is
+    taken over all original targets, once.
     """
     X = as_points(targets)
     n = len(X)
@@ -257,61 +270,40 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     # sort each row once, in any order within a run of equal distances (see
     # the module notes); between iterations only liveness changes
     order = np.argsort(dist, axis=1)
-    sorted_d = np.sort(dist, axis=1)  # the values of any order of each row's runs
+    dist.sort(axis=1)  # the values of any order of each row's runs
+    end = np.ones(dist.shape, dtype=bool)  # the last of its run of equal radii
+    np.not_equal(dist[:, 1:], dist[:, :-1], out=end[:, :-1])
     del dist
-    n_cols = n + m
-    inner = np.zeros(sorted_d.shape, dtype=bool)  # not the last of its run of equal radii
-    np.equal(sorted_d[:, 1:], sorted_d[:, :-1], out=inner[:, :-1])
-    counts = _PrefixCounts(order, n, shift)
-    del order
-    alive = np.ones(n_cols, dtype=bool)  # by original column
-    hit = np.zeros(n_cols, dtype=bool)  # covered by a ball of positive radius
-    pool = np.zeros(n, dtype=bool)  # by original target: best exact scores of the last iteration
+    cands = _Candidates(order, end, n, shift)
+    del order, end
+    alive = np.ones(n + m, dtype=bool)  # by original column
+    hit = np.zeros(n + m, dtype=bool)  # covered by a ball of positive radius
     picks: list[tuple[int, float, float]] = []  # (center, radius, score) in selection order
-    while True:
-        rows = np.flatnonzero(alive[:n])  # original targets = rows of sorted_d and inner
+    while len(rows := cands.targets):
         n_alive = len(rows)
-        if n_alive == 0:
-            break
         m_alive = int(np.count_nonzero(alive[n:]))
         weight = m_alive / n_alive if m_alive > 0 else 1.0
-        dmax0 = d_max[rows]
-
-        def walk(at, cols):
-            """Radius and score of the first walk maximum of rows[at]
-            over the first `cols` sorted columns."""
-            best, walks = counts.walk(inner, rows[at], cols, weight)
-            radii = sorted_d[rows[at], best]
-            return radii, walks - _penalty(radii, dmax0[at], n_alive)
-
-        # live cells only shrink, so after the first small iteration none prunes
-        big = n_alive * (n_alive + m_alive) >= PRUNE_MIN_CELLS
-        if big and 0 < np.count_nonzero(pooled := pool[rows]) < n_alive:
-            exact, rest = np.flatnonzero(pooled), np.flatnonzero(~pooled)
-            radii = np.zeros(n_alive)
-            scores = np.full(n_alive, -np.inf)  # -inf: cannot win or tie
-            radii[exact], scores[exact] = walk(exact, n_cols)
-            floor = scores[exact].max()
-            # every walk value is at most fl(weight * n_alive)
-            cut = _cutoff(sorted_d, rows[rest], dmax0[rest], n_alive, weight * n_alive, floor)
-            verify = rest[walk(rest, cut)[1] >= floor]
-            radii[verify], scores[verify] = walk(verify, n_cols)
-        else:
-            radii, scores = walk(slice(None), n_cols)
+        best, walks = _first_max_walk(cands.counts, shift, weight)
+        pos, last = cands.last_alive(best, alive)
+        # a difference can reach twice as_points' bound, which is safe
+        radii = _lengths(X[rows] - allpts[last])
+        scores = walks - _penalty(radii, d_max[rows], n_alive)
         k = int(np.argmax(scores))  # first max = lowest original index
-        if big:
-            top = np.argsort(scores)[-POOL:]
-            pool[:] = False
-            pool[rows[top[np.isfinite(scores[top])]]] = True
         center = int(rows[k])
         r_star = float(radii[k])
         picks.append((center, r_star, float(scores[k])))
-        # the closed ball is a prefix of the center's sorted row, dead points included
-        covered = np.flatnonzero(counts.rank[:, center] < np.searchsorted(sorted_d[center], r_star, side="right"))
+        # the closed ball holds the center's sorted row up to the last alive
+        # point, and those dead points between it and the candidate's run
+        # that lie at the same distance
+        covered = cands.order[center, : pos[k] + 1].astype(np.intp)
+        tail = cands.order[center, pos[k] + 1 : cands.before[k, best[k]] + 1]
+        if len(tail):
+            covered = np.concatenate([covered, tail[_lengths(allpts[tail] - X[center]) <= r_star]])
         dead = covered[alive[covered]]
         alive[covered] = False
-        hit[covered] |= r_star > 0  # a zero-radius closed ball covers nothing
-        counts.remove(dead, alive)
+        if r_star > 0:  # a zero-radius closed ball covers nothing
+            hit[covered] = True
+        cands.remove(dead, alive)
     sel, r_sel, s_sel = (np.array(column) for column in zip(*picks))
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, scores=s_sel,

@@ -218,15 +218,6 @@ def _assert_matches_trace(cover, trace):
     assert [(b.center_index, b.radius, b.score) for b in cover.balls] == trace
 
 
-def _assert_pruned_covers_match_trace(X, Y, trace):
-    """Prune from the second iteration on, whatever the size, with pools
-    of 1 and 2 rows, so ties, the prefix walk and the full walk of the
-    rows it lets through all meet the oracle on small instances."""
-    for pool in (1, 2):
-        with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", 0), mock.patch.object(rwccd, "POOL", pool):
-            _assert_matches_trace(rw_cover(X, Y), trace)
-
-
 @settings(max_examples=60, deadline=None)
 @given(inst=lattice_instance())
 def test_rw_cover_lattice_ties_match_naive_trace(inst):
@@ -238,7 +229,7 @@ def test_rw_cover_lattice_ties_match_naive_trace(inst):
 @given(inst=lattice_instance())
 def test_rw_cover_lattice_ties_match_naive_trace_when_pruned(inst):
     X, Y = inst
-    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
 
 
 @settings(max_examples=30, deadline=None)
@@ -254,7 +245,7 @@ def test_rw_cover_lattice_without_nontargets_matches_naive_trace(inst):
 def test_rw_cover_lattice_without_nontargets_matches_naive_trace_when_pruned(inst):
     X, _ = inst
     Y = np.empty((0, X.shape[1]))
-    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
 
 
 def _run_shuffled_argsort(seed: int):
@@ -299,11 +290,8 @@ def long_lattice_instance(draw):
 def test_rw_cover_does_not_depend_on_the_order_inside_runs(inst, seed):
     X, Y = inst
     plain = rw_cover(X, Y)
-    # the default settings, then pruning from the second iteration on
-    for min_cells, pool in ((rwccd.PRUNE_MIN_CELLS, rwccd.POOL), (0, 1), (0, 2)):
-        with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", min_cells), mock.patch.object(rwccd, "POOL", pool), \
-                mock.patch.object(np, "argsort", _run_shuffled_argsort(seed)):
-            _assert_same_cover(rw_cover(X, Y), plain)
+    with mock.patch.object(np, "argsort", _run_shuffled_argsort(seed)):
+        _assert_same_cover(rw_cover(X, Y), plain)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,7 +353,7 @@ def test_rw_cover_matches_naive_trace_over_mostly_dead_columns():
 def test_rw_cover_matches_naive_trace_over_mostly_dead_columns_when_pruned():
     rng = np.random.default_rng(2)
     X, Y = rng.random((60, 2)), rng.random((40, 2))
-    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 7, 8, 255, 256])
@@ -375,9 +363,7 @@ def test_rw_cover_counts_stay_exact_where_the_shift_steps(m):
     rng = np.random.default_rng(m)
     X = rng.integers(0, 4, (40, 2)).astype(np.float64)
     Y = rng.integers(0, 4, (m, 2)).astype(np.float64)
-    trace = naive_rw_trace(X, Y)
-    _assert_matches_trace(rw_cover(X, Y), trace)
-    _assert_pruned_covers_match_trace(X, Y, trace)
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
 
 
 def test_packing_shift_rejects_counts_beyond_int32(monkeypatch):
@@ -398,39 +384,47 @@ def test_packing_shift_rejects_counts_beyond_int32(monkeypatch):
 
 
 def test_first_max_walk_counts_stay_exact_at_the_largest_allowed_sum():
-    # one row of the most targets that m = 2**12 non-targets allow, in
-    # shuffled order: the last prefix sum is (n << 13) + m, just below 2**31
+    # one row of the most targets that m = 2**12 non-targets allow, its own
+    # target first and the rest in shuffled order: the last prefix sum and
+    # the row-end candidate are (n << 13) + m, just below 2**31
     n, m = 2**18 - 1, 2**12
     assert (n + 1) << 13 == 2**31
-    cols = np.random.default_rng(0).permutation(n + m)
-    counts = rwccd._PrefixCounts(cols[None, :], n, 13)
-    assert counts.counts[0, -1] == (n << 13) + m
-    inner = np.zeros((1, n + m), dtype=bool)
-    best, walk = counts.walk(inner, np.array([0]), n + m, 0.5)
+    cols = np.random.default_rng(0).permutation(np.arange(1, n + m))
+    cols = np.concatenate([[0], cols])
+    cands = rwccd._Candidates(cols[None, :], np.ones((1, n + m), dtype=bool), n, 13)
+    assert cands.counts[0, -1] == (n << 13) + m
+    best, walk = rwccd._first_max_walk(cands.counts, 13, 0.5)
     count_t = np.cumsum(cols < n, dtype=np.int64)
     expected = 0.5 * count_t - (np.arange(1, n + m + 1) - count_t)
-    assert (best[0], walk[0]) == (np.argmax(expected), expected.max())
+    # the first maximum over every sorted position sits at the position
+    # just before the winning candidate's run
+    assert (cands.before[0, best[0]], walk[0]) == (np.argmax(expected), expected.max())
 
 
-def _checked_removals(seen: list):
-    """Patch `_PrefixCounts.remove` so that after every pick the kept
-    counts of the alive rows must equal a fresh prefix sum of the alive
-    codes in each row's sorted order; `seen` records, per pick, whether
-    the count rows were compacted."""
-    remove = rwccd._PrefixCounts.remove
+def _checked_removals(seen: list, X, Y):
+    """Patch `_Candidates.remove` so that after every pick the kept counts
+    must equal a fresh count, from the distances, of the alive codes
+    strictly nearer than each non-target (in the last column, of every
+    alive point); `seen` records, per pick, whether it took out a
+    non-target."""
+    remove = rwccd._Candidates.remove
+    n = len(X)
+    dist = cross_distance_matrix(X, np.vstack([X, Y]))
 
     def checked(self, dead, alive):
-        before = len(self.targets)
         remove(self, dead, alive)
-        live = alive[self.targets]
-        if not live.any():
-            return
-        perm = np.argsort(self.rank[:, self.targets[live]].T, axis=1)  # sorted columns per row
-        code = np.where(np.arange(len(alive)) < self.n, 1 << self.shift, 1) * alive
-        np.testing.assert_array_equal(self.counts[live], np.cumsum(code[perm], axis=1))
-        seen.append(len(self.targets) < before)
+        seen.append(bool((dead >= n).any()))
+        low = (1 << self.shift) - 1
+        for row, x in zip(self.counts, self.targets):
+            near = np.sort(dist[x, n:])  # the row's non-targets by distance
+            t = np.searchsorted(np.sort(dist[x, :n][alive[:n]]), near)
+            u = np.searchsorted(np.sort(dist[x, n:][alive[n:]]), near)
+            # a non-target at distance 0 has no run before its own
+            expected = np.where(near > 0, (t << self.shift) + u, low)
+            total = (np.count_nonzero(alive[:n]) << self.shift) + np.count_nonzero(alive[n:])
+            np.testing.assert_array_equal(row, np.append(expected, total))
 
-    return mock.patch.object(rwccd._PrefixCounts, "remove", checked)
+    return mock.patch.object(rwccd._Candidates, "remove", checked)
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,51 +435,117 @@ def _checked_removals(seen: list):
 def test_kept_counts_equal_a_fresh_prefix_sum_after_every_pick(inst):
     X, Y = inst
     plain = rw_cover(X, Y)
-    # the default settings, then pruning from the second iteration on
-    for min_cells, pool in ((rwccd.PRUNE_MIN_CELLS, rwccd.POOL), (0, 1), (0, 2)):
-        with mock.patch.object(rwccd, "PRUNE_MIN_CELLS", min_cells), mock.patch.object(rwccd, "POOL", pool), \
-                _checked_removals([]):
-            _assert_same_cover(rw_cover(X, Y), plain)
+    with _checked_removals([], X, Y):
+        _assert_same_cover(rw_cover(X, Y), plain)
 
 
-def test_kept_counts_meet_picks_that_compact_and_picks_that_do_not():
+def test_kept_counts_meet_picks_with_and_without_nontargets():
     # the shifted-box setting at q = 0.1 and 1: both kinds of pick occur
     seen = []
     for m in (20, 200):
         rng = np.random.default_rng(m)
         X, Y = rng.random((200, 3)), 0.1 + rng.random((m, 3))
-        with _checked_removals(seen):
+        with _checked_removals(seen, X, Y):
             rw_cover(X, Y)
     assert set(seen) == {False, True}
 
 
 def test_rw_cover_pruned_tie_at_the_cutoff_matches_naive_trace():
-    # after the first ball, the three points at 0 each score exactly the
-    # ceiling fl(w * n_alive) at radius 0; a one-row pool holds only the
-    # last of them, so the lower-index ties stay candidates only because
-    # the cutoff requires a bound strictly below the pool's score
+    # after the first ball, the three points at 0 each score exactly
+    # fl(w * n_alive) at radius 0, so the pick is the lowest index of a tie
     X = np.array([[3.0], [3.0], [0.0], [3.0], [0.0], [0.0]])
     Y = np.array([[1.0]])
-    _assert_pruned_covers_match_trace(X, Y, naive_rw_trace(X, Y))
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
 
 
-def test_rw_cover_pruning_halves_the_walked_cells(monkeypatch):
-    # the shifted-box setting at q = 0.1, the regime where pruning pays
+def test_rw_cover_walks_alive_rows_over_candidate_columns(monkeypatch):
+    # the shifted-box setting at q = 0.1: every iteration walks each alive
+    # target over its m + 1 candidate columns, and nothing else
     rng = np.random.default_rng(0)
     X, Y = rng.random((600, 3)), 0.1 + rng.random((60, 3))
     walked = []
     first_max_walk = rwccd._first_max_walk
 
     def counting(sums, *args):
-        walked.append(sums.size)
+        walked.append(sums.shape)
         return first_max_walk(sums, *args)
 
     monkeypatch.setattr(rwccd, "_first_max_walk", counting)
-    pruned = rw_cover(X, Y)
-    pruned_cells = sum(walked)
-    walked.clear()
-    monkeypatch.setattr(rwccd, "PRUNE_MIN_CELLS", 2**62)
-    full = rw_cover(X, Y)
-    assert pruned_cells < sum(walked) / 2
-    for name in ("center_index", "radii", "scores"):
-        np.testing.assert_array_equal(getattr(pruned, name), getattr(full, name))
+    cover = rw_cover(X, Y)
+    alive, bound = np.ones(len(X), dtype=bool), 0
+    for center, radius in zip(cover.centers, cover.radii):
+        bound += np.count_nonzero(alive) * (len(Y) + 1)
+        alive &= cross_distance_matrix(center[None, :], X)[0] > radius
+    assert len(walked) == cover.n_balls
+    assert sum(rows * cols for rows, cols in walked) <= bound
+
+
+def test_lengths_are_the_kernel_distances_bit_for_bit():
+    # the radii are recomputed from the two points each; the d of the
+    # kernel's own bit-for-bit test, whose sums numpy orders differently
+    rng = np.random.default_rng(5)
+    for d in (*range(1, 131), 256, 257, 513, 1500):
+        scale = 10.0 ** rng.uniform(-3, 3, d)  # uneven terms make the order matter
+        A = rng.standard_normal((9, d)) * scale
+        B = rng.standard_normal((7, d)) * scale
+        B[2] = A[4]  # a point in both sets
+        full = cross_distance_matrix(A, B)
+        pairs = rng.integers(0, len(B), len(A))
+        assert np.array_equal(rwccd._lengths(A - B[pairs]), full[np.arange(len(A)), pairs]), d
+        assert np.array_equal(rwccd._lengths(B - A[4]), full[4]), d
+
+
+@st.composite
+def lopsided_lattice_instance(draw):
+    # points of a 4^d lattice, so targets and non-targets coincide: many
+    # targets against a few non-targets, a few against many, or none
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    n_max, m_max = draw(st.sampled_from([(80, 3), (3, 70), (80, 0)]))
+    X = np.array(draw(st.lists(point, min_size=1, max_size=n_max)), dtype=np.float64).reshape(-1, d)
+    Y = np.array(draw(st.lists(point, max_size=m_max)), dtype=np.float64).reshape(-1, d)
+    return X, Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=lopsided_lattice_instance())
+# a non-target on a target (a masked candidate), then one on every target
+@example(inst=(np.array([[0.0], [1.0], [2.0]]), np.array([[0.0]])))
+@example(inst=(np.array([[0.0], [1.0], [1.0]]), np.array([[0.0], [1.0], [1.0], [3.0]])))
+def test_rw_cover_lopsided_lattices_match_naive_trace(inst):
+    X, Y = inst
+    _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
+
+
+def test_lopsided_lattices_reach_every_kind_of_candidate(monkeypatch):
+    # seeded draws of the strategy's three shapes: across them some row's
+    # first maximum is a non-target's column, some is the row end, some
+    # row holds a non-target at distance 0 and some radius steps back over
+    # dead points; every step lands on the last alive point, and every
+    # cover meets the oracle
+    seen = set()
+    last_alive = rwccd._Candidates.last_alive
+
+    def watched_last_alive(self, best, alive):
+        seen.update("row end" if j == self.counts.shape[1] - 1 else "non-target" for j in best)
+        if (self.before < 0).any():
+            seen.add("distance 0")
+        pos, found = last_alive(self, best, alive)
+        before = self.before[np.arange(len(best)), best]
+        # the point at pos is alive, and every one after it up to before is dead
+        assert (found == self.order[self.targets, pos]).all() and alive[found].all()
+        for x, p, b in zip(self.targets, pos, before):
+            assert not alive[self.order[x, p + 1 : b + 1]].any()
+        if (pos < before).any():
+            seen.add("step back")
+        return pos, found
+
+    monkeypatch.setattr(rwccd._Candidates, "last_alive", watched_last_alive)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n_max, m_max = [(80, 3), (3, 70), (80, 0)][seed % 3]
+        d = 1 + seed % 2
+        X = rng.integers(0, 4, (rng.integers(1, n_max + 1), d)).astype(np.float64)
+        Y = rng.integers(0, 4, (rng.integers(0, m_max + 1), d)).astype(np.float64)
+        _assert_matches_trace(rw_cover(X, Y), naive_rw_trace(X, Y))
+    assert seen == {"non-target", "row end", "distance 0", "step back"}
