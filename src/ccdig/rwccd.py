@@ -37,7 +37,7 @@ and no target, a walk value below the last column's w * n_alive -
 m_alive (zero, up to the rounding of w), and no update reaches it.
 
 Radius. A pick's radius is the distance of the last alive point before
-its column's run. `before[i, j]`, the sorted position just before that
+its column's run. `before[x, j]`, the sorted position just before that
 run, is fixed; the walk steps back from it over dead points in the
 row's sort order, kept as int32, in windows of 8, 32, 128, ... The
 row's own target is alive at distance 0, so every step ends. The
@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_points, cross_distance_matrix
+from .core import KERNEL_BLOCK, as_points, cross_distance_matrix
 from .pccd import ClassCover
 
 
@@ -119,12 +119,13 @@ class _Candidates:
     """The packed counts of one fit at its candidate columns, kept across
     picks (see the module notes).
 
-    Row i belongs to target `targets[i]`; `targets` holds the alive
-    targets in increasing order. Column j < m of a row stands for the
-    row's j-th nearest non-target: `counts[i, j]` is the packed count of
-    the alive points strictly nearer than it, and `before[i, j]` the
-    sorted position just before its run. Column m holds the packed count
-    of every alive point, and `before` the row's last position. A
+    Row i of `counts` belongs to target `targets[i]`; `targets` holds the
+    alive targets in increasing order. Column j < m of a row stands for
+    the row's j-th nearest non-target: `counts[i, j]` is the packed count
+    of the alive points strictly nearer than it, and `before[x, j]`, by
+    original target x, the sorted position just before its run. Column m
+    holds the packed count of every alive point, and `before` the row's
+    last position. A
     non-target at distance 0 has no run before its own; its column holds
     2**shift - 1 non-targets and no target, a walk value below column m's
     that no update reaches. `key[c, x]` is the number of non-targets at or
@@ -145,7 +146,10 @@ class _Candidates:
         # where every run of equal radii is one point, the count strictly
         # before a non-target's run is its prefix sum less its own code, 1
         self.counts = np.empty((rows, m + 1), dtype=np.int32)
-        self.counts[:, :m] = np.compress(nontarget.ravel(), sums.ravel()).reshape(rows, m)
+        step = max(1, KERNEL_BLOCK // cols)  # compress's intp index of a block stays cache-sized
+        for i in range(0, rows, step):
+            j = min(i + step, rows)
+            self.counts[i:j, :m] = np.compress(nontarget[i:j].ravel(), sums[i:j].ravel()).reshape(j - i, m)
         self.counts[:, :m] -= 1
         self.counts[:, m] = (n << shift) + m
         ties = not end.all()  # a run of equal radii holds two or more points
@@ -184,7 +188,7 @@ class _Candidates:
         """Per alive target, the sorted position in its row of the last
         alive point before the run of candidate `best`, and its column."""
         # int32 tables, intp indices: numpy converts an int32 index on each use
-        pos = self.before[np.arange(len(best)), best].astype(np.intp)
+        pos = self.before[self.targets, best].astype(np.intp)
         found = self.order[self.targets, pos].astype(np.intp)
         live = alive[found]
         todo = np.arange(0) if live.all() else np.flatnonzero(~live)
@@ -205,14 +209,13 @@ class _Candidates:
 
     def remove(self, dead, alive) -> None:
         """Take the newly covered columns `dead` out of the counts and the
-        covered targets' rows out of the table; `alive` is the liveness of
-        every column after the pick."""
+        covered targets' rows out of them; `alive` is the liveness of every
+        column after the pick."""
         keep = alive[self.targets]
         self.targets = self.targets[keep]
         if not len(self.targets):
             return  # the cover is complete
         self.counts = self.counts[keep]
-        self.before = self.before[keep]
         # per count row, the keys of the dead columns, each with its code in
         # the bits below it, in increasing order
         low = self.shift + 1  # every code is below 2**low
@@ -296,7 +299,7 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
         # point, and those dead points between it and the candidate's run
         # that lie at the same distance
         covered = cands.order[center, : pos[k] + 1].astype(np.intp)
-        tail = cands.order[center, pos[k] + 1 : cands.before[k, best[k]] + 1]
+        tail = cands.order[center, pos[k] + 1 : cands.before[center, best[k]] + 1]
         if len(tail):
             covered = np.concatenate([covered, tail[_lengths(allpts[tail] - X[center]) <= r_star]])
         dead = covered[alive[covered]]

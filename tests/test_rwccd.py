@@ -531,7 +531,7 @@ def test_lopsided_lattices_reach_every_kind_of_candidate(monkeypatch):
         if (self.before < 0).any():
             seen.add("distance 0")
         pos, found = last_alive(self, best, alive)
-        before = self.before[np.arange(len(best)), best]
+        before = self.before[self.targets, best]
         # the point at pos is alive, and every one after it up to before is dead
         assert (found == self.order[self.targets, pos]).all() and alive[found].all()
         for x, p, b in zip(self.targets, pos, before):
