@@ -125,12 +125,11 @@ class _Candidates:
     of the alive points strictly nearer than it, and `before[x, j]`, by
     original target x, the sorted position just before its run. Column m
     holds the packed count of every alive point, and `before` the row's
-    last position. A
-    non-target at distance 0 has no run before its own; its column holds
-    2**shift - 1 non-targets and no target, a walk value below column m's
-    that no update reaches. `key[c, x]` is the number of non-targets at or
-    below the distance of column c in the row of target x, `order[x]` that
-    row's sort, and `code[c]` the code of column c.
+    last position. A non-target at distance 0 has no run before its own;
+    its column holds 2**shift - 1 non-targets and no target, a walk value
+    below column m's that no update reaches. `key[c, x]` is the number of
+    non-targets at or below the distance of column c in the row of target
+    x, `order[x]` that row's sort, and `code[c]` the code of column c.
     """
 
     def __init__(self, order, end, n: int, shift: int):
