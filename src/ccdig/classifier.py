@@ -55,14 +55,8 @@ the leaf's bounding box [lo, hi]:
   matrix goes to its scalar pow, which can differ in the last bit; so no
   pruned matrix has one column.)
 
-On the `pure-overlap` model (1484 balls, 50k d=3 queries in 128 leaves
-of about 390), the kernel returns 4.1 M entries instead of 74.2 M, and
-`_class_minima` takes 0.13 s instead of 0.75 s; on `rw-imbalanced`
-(151 balls, 16 leaves) 2.4 M instead of 7.6 M entries, 0.09 s instead
-of 0.15 s (2-core host, one thread). Classes of a few dozen balls gain
-nothing, because their leaves are few and large (rows grows as b
-shrinks): 10k queries against two 55-ball classes split into two leaves
-that keep 80% of the balls, and take 17 ms instead of 14 ms.
+Classes of a few dozen balls gain nothing from leaves, because their
+leaves are few and large (rows grows as b shrinks).
 
 Memory: a block's distances to one class's kept balls (8 bytes per
 query-ball pair, at most QUERY_BLOCK_BYTES) are reduced to that class's
@@ -373,8 +367,15 @@ def model_from_dict(doc: dict) -> CccdModel:
     need(_is_count(dim, 1), "dim must be a positive integer")
     hyper = doc["hyper"]
     key = HYPER_KEY[variant]
-    need(isinstance(hyper, dict) and key in hyper, f"hyper must hold {key!r} for the {variant} variant")
+    need(
+        isinstance(hyper, dict) and set(hyper) == {key},
+        f"hyper must hold {key!r} and nothing else for the {variant} variant",
+    )
     need(_is_number(hyper[key]), f"hyper {key} must be a finite number")
+    try:
+        check_hyper(key, hyper[key])
+    except ValueError as err:
+        need(False, f"hyper {err}")
     covers, labels = doc["covers"], doc["label_map"]
     need(isinstance(covers, list) and len(covers) >= 2, "covers must list at least two classes")
     need(

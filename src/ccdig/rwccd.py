@@ -42,10 +42,11 @@ run, is fixed; the walk steps back from it over dead points in the
 row's sort order, kept as int32, in windows of 8, 32, 128, ... The
 row's own target is alive at distance 0, so every step ends. The
 distance is recomputed from the two points (`_lengths`), bit for bit
-the kernel's, so no sorted distances are kept. The closed ball is the
-center's sorted row up to that point, and the dead points after it at
-the same distance, which matter only to the properness flag; so the
-flags come from the points each pick covers.
+the kernel's, so no sorted distances are kept. A pick kills the alive
+points of the center's sorted row up to that point. The flags are read
+from the finished cover: pure iff no non-target is alive, proper iff
+every target lies within r of a center whose r > 0, by one kernel
+matrix; the kernel is symmetric bit for bit, and every r is its value.
 
 Counts. Every point has an int32 code, 1 << shift for a target and 1
 for a non-target, with shift = max(1, m.bit_length()), so m < 2**shift.
@@ -80,11 +81,13 @@ n=m=800; 3.6 at n=100, m=1000):
     sort order (int32), for the fit            4
     counts and `before`, for the fit           2c
     a walk: float64 values and count_n         3c
+    flags: distances and mask, after the fit   9k / (n + m)
 
-The peak (tracemalloc, d=3, shifted boxes) is 17.8 bytes per cell at
-n=1000, m=100, 21.1 at n=m=800 and 27.2 at n=100, m=1000; where m is
-large the walk's 3c sets it. The distance kernel's work arrays add at
-most 1 MiB while n + m <= 16384 and d <= 128.
+with k <= n the centers of positive radius. The peak (tracemalloc, d=3,
+shifted boxes) is 17.8 bytes per cell at n=1000, m=100, 21.1 at n=m=800
+and 27.2 at n=100, m=1000; where m is large the walk's 3c sets it. The
+distance kernel's work arrays add at most 1 MiB while n + m <= 16384
+and d <= 128.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class _Candidates:
     def __init__(self, order, end, n: int, shift: int):
         rows, cols = order.shape
         m = cols - n
-        self.n, self.shift = n, shift
+        self.shift = shift
         low = (1 << shift) - 1
         nontarget = order >= n
         # every point is alive: code 1 << shift for a target, 1 for a non-target
@@ -151,29 +154,25 @@ class _Candidates:
             self.counts[i:j, :m] = np.compress(nontarget[i:j].ravel(), sums[i:j].ravel()).reshape(j - i, m)
         self.counts[:, :m] -= 1
         self.counts[:, m] = (n << shift) + m
-        ties = not end.all()  # a run of equal radii holds two or more points
-        if ties:
-            tied = np.flatnonzero(~end.all(axis=1))
-            tied_sums, tied_end = sums[tied], end[tied]
-            # the count strictly before a run is the prefix sum at the end of
-            # the run before it; prefix sums only grow, so a running maximum
-            # carries it through the run
-            prior = np.zeros(tied_sums.shape, dtype=np.int32)
-            np.copyto(prior[:, 1:], tied_sums[:, :-1], where=tied_end[:, :-1])
-            np.maximum.accumulate(prior, axis=1, out=prior)
-            self.counts[tied, :m] = prior[nontarget[tied]].reshape(len(tied), m)
-            # and the prefix sum at the end of a run, carried back through it
-            np.copyto(tied_sums, np.iinfo(np.int32).max, where=~tied_end)
-            back = tied_sums[:, ::-1]
-            np.minimum.accumulate(back, axis=1, out=back)
-            sums[tied] = tied_sums
-            del tied_sums, tied_end, prior
-        del nontarget
+        tied = np.flatnonzero(~end.all(axis=1))  # rows with a run of two or more points
+        tied_sums, tied_end = sums[tied], end[tied]
+        # the count strictly before a run is the prefix sum at the end of
+        # the run before it; prefix sums only grow, so a running maximum
+        # carries it through the run
+        prior = np.zeros(tied_sums.shape, dtype=np.int32)
+        np.copyto(prior[:, 1:], tied_sums[:, :-1], where=tied_end[:, :-1])
+        np.maximum.accumulate(prior, axis=1, out=prior)
+        self.counts[tied, :m] = prior[nontarget[tied]].reshape(len(tied), m)
+        # and the prefix sum at the end of a run, carried back through it
+        np.copyto(tied_sums, np.iinfo(np.int32).max, where=~tied_end)
+        back = tied_sums[:, ::-1]
+        np.minimum.accumulate(back, axis=1, out=back)
+        sums[tied] = tied_sums
+        del tied_sums, tied_end, prior, nontarget
         self.before = np.right_shift(self.counts, shift)
         self.before += self.counts & low
         self.before -= 1
-        if ties:  # only a non-target at distance 0 counts nothing before its run
-            self.counts[self.counts == 0] = low
+        self.counts[self.counts == 0] = low  # only a non-target at distance 0 counts nothing before its run
         sums &= low  # the non-targets at or below each sorted distance
         self.key = np.empty((cols, rows), dtype=np.int32)
         self.key[order, np.arange(rows)[:, None]] = sums
@@ -190,7 +189,7 @@ class _Candidates:
         pos = self.before[self.targets, best].astype(np.intp)
         found = self.order[self.targets, pos].astype(np.intp)
         live = alive[found]
-        todo = np.arange(0) if live.all() else np.flatnonzero(~live)
+        todo = np.flatnonzero(~live)
         width = 8
         while len(todo):
             # the row's own target is alive at distance 0, so every row stops
@@ -237,13 +236,6 @@ def _lengths(diff) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def _penalty(radii, dmax0, n_alive: int) -> np.ndarray:
-    """(r / d_max) * (n_alive / 2) per row: r == d_max gives an exactly
-    scale-free score; `rw_cover` stores a d_max of 0 (one target, or
-    targets that coincide) as inf, so the penalty is 0 there."""
-    return radii / dmax0 * (n_alive / 2.0)
-
-
 def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     """Greedy random-walk ball cover of the target class.
 
@@ -264,11 +256,11 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     else:
         Y = np.empty((0, X.shape[1]), dtype=np.float64)
     m = len(Y)
-    allpts = np.vstack([X, Y]) if m else X
+    allpts = np.vstack([X, Y])
     shift = _packing_shift(n, m)  # before any large allocation
     dist = cross_distance_matrix(X, allpts)  # (n, n + m)
     d_max = dist[:, :n].max(axis=1)
-    d_max[d_max == 0] = np.inf  # a zero penalty (see _penalty)
+    d_max[d_max == 0] = np.inf  # one target, or targets that coincide: a zero penalty
     # sort each row once, in any order within a run of equal distances (see
     # the module notes); between iterations only liveness changes
     order = np.argsort(dist, axis=1)
@@ -279,7 +271,6 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     cands = _Candidates(order, end, n, shift)
     del order, end
     alive = np.ones(n + m, dtype=bool)  # by original column
-    hit = np.zeros(n + m, dtype=bool)  # covered by a ball of positive radius
     picks: list[tuple[int, float, float]] = []  # (center, radius, score) in selection order
     while len(rows := cands.targets):
         n_alive = len(rows)
@@ -289,26 +280,20 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
         pos, last = cands.last_alive(best, alive)
         # a difference can reach twice as_points' bound, which is safe
         radii = _lengths(X[rows] - allpts[last])
-        scores = walks - _penalty(radii, d_max[rows], n_alive)
+        scores = walks - radii / d_max[rows] * (n_alive / 2.0)  # r == d_max: exactly scale-free
         k = int(np.argmax(scores))  # first max = lowest original index
         center = int(rows[k])
-        r_star = float(radii[k])
-        picks.append((center, r_star, float(scores[k])))
-        # the closed ball holds the center's sorted row up to the last alive
-        # point, and those dead points between it and the candidate's run
-        # that lie at the same distance
-        covered = cands.order[center, : pos[k] + 1].astype(np.intp)
-        tail = cands.order[center, pos[k] + 1 : cands.before[center, best[k]] + 1]
-        if len(tail):
-            covered = np.concatenate([covered, tail[_lengths(allpts[tail] - X[center]) <= r_star]])
-        dead = covered[alive[covered]]
-        alive[covered] = False
-        if r_star > 0:  # a zero-radius closed ball covers nothing
-            hit[covered] = True
+        picks.append((center, float(radii[k]), float(scores[k])))
+        covered = cands.order[center, : pos[k] + 1]  # the ball, up to its last alive point
+        dead = covered[alive[covered]].astype(np.intp)
+        alive[dead] = False
         cands.remove(dead, alive)
+    del cands  # its sort order and keys, before the flags' distances
     sel, r_sel, s_sel = (np.array(column) for column in zip(*picks))
+    reach = r_sel > 0  # a zero-radius ball covers nothing, not even its center
+    is_proper = reach.any() and (cross_distance_matrix(X, X[sel[reach]]) <= r_sel[reach]).any(axis=1).all()
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, scores=s_sel,
         is_pure=alive[n:].all(),  # no non-target lies in a closed ball
-        is_proper=hit[:n].all(),
+        is_proper=is_proper,
     )

@@ -673,11 +673,17 @@ def test_model_holds_exactly_its_checked_hyper():
     pure = array_cover(0, [0.0], [1.0])
     with pytest.raises(ValueError, match="tau"):
         CccdModel("pure", (pure, pure), {"e": 0.5}, 1, ("a", "b"), (1, 1))
-    # a saved document with a second key no longer loads, nor one out of range
-    for key, value in (("foo", 3.0), ("e", 5.0)):
-        doc = json.loads(json.dumps(_VALID_DOCS["random_walk"]))
-        doc["hyper"][key] = value
-        with pytest.raises(ValueError):
+    # a saved document with a second key no longer loads, nor one out of
+    # range; both are faults of the document, found before its covers
+    for variant, hyper in (
+        ("random_walk", {"e": 0.5, "foo": 3.0}),
+        ("random_walk", {"e": 5.0}),
+        ("pure", {"tau": 2.0}),
+        ("pure", {"tau": 0.5, "e": 1.0}),
+    ):
+        doc = json.loads(json.dumps(_VALID_DOCS[variant]))
+        doc["hyper"] = hyper
+        with pytest.raises(ValueError, match="^invalid model: hyper "):
             model_from_json(json.dumps(doc))
 
 

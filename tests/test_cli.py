@@ -254,6 +254,8 @@ def _trained_model_doc(toy_csv, tmp_path, variant):
         ("pure", lambda doc: doc["covers"][1]["balls"][0].update(radius=-1.0)),
         ("pure", lambda doc: doc["covers"][0].pop("n_train")),
         ("pure", lambda doc: doc.update(covers="none")),
+        ("pure", lambda doc: doc.update(hyper={"tau": 2.0})),
+        ("pure", lambda doc: doc.update(hyper={"tau": 0.5, "e": 1.0})),
     ],
 )
 def test_predict_malformed_model_is_data_error(toy_csv, tmp_path, capsys, variant, break_doc):
