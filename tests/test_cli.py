@@ -1,15 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import ctypes
 import json
 
 import numpy as np
 import pytest
 
-from ccdig.classifier import load_model, predict_batch
+from ccdig.classifier import load_model, predict_batch, save_model, train
 from ccdig import cli
 from ccdig.cli import main
 from ccdig.core import parse_dataset
+from ccdig.evaluation import ClassifierSpec, SimulationConfig, run_simulation
 from helpers import predict_csv
 
 TOY = "x1,x2,cls\n" + "\n".join(
@@ -609,3 +611,57 @@ def test_train_out_of_memory_is_one_line(toy_csv, tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert (message or "out of memory") in err
     assert not (tmp_path / "m.json").exists()
+
+
+class FakeLibc:
+    """Stands in for `ctypes.CDLL(None)`, recording each mallopt call."""
+
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt  # a function, so the caller can declare its C signature on it
+
+
+def cannot_open(name):
+    raise OSError("no C library")
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(calls))
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    return calls
+
+
+def test_main_sets_the_mmap_and_trim_thresholds(mallopt_calls, toy_csv, tmp_path):
+    assert main(["train", "--data", str(toy_csv), "--out", str(tmp_path / "m.json")]) == 0
+    assert mallopt_calls == [(-3, 4 * 1024 * 1024), (-1, 16 * 1024 * 1024)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+@pytest.mark.parametrize(
+    "platform, cdll",
+    [("linux", lambda name: object()), ("linux", cannot_open), ("darwin", None)],
+    ids=["no-mallopt", "cdll-oserror", "darwin"],
+)
+def test_train_without_glibc_writes_the_same_model(mallopt_calls, monkeypatch, toy_csv, tmp_path, platform, cdll):
+    expected = tmp_path / "library.json"
+    with open(toy_csv, encoding="utf-8", newline="") as fh:
+        save_model(train(parse_dataset(fh), "pure", tau=0.5), expected)
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    if cdll is not None:
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert mallopt_calls == []
+
+
+def test_library_simulation_leaves_the_allocator_alone(mallopt_calls):
+    config = SimulationConfig(
+        setting="shifted", d=2, n=20, q=1.0, delta=0.1, test_per_class=10, max_test_reps=2, se_target=0.0
+    )
+    run_simulation(config, [ClassifierSpec("pcccd", 0.5), ClassifierSpec("knn", 5)])
+    assert mallopt_calls == []
