@@ -370,7 +370,9 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
     if len(centers) < len(models):
         cols = np.arange(train_data.n)
     else:
-        cols = np.unique(np.concatenate([index for per_class in centers.values() for index in per_class]))
+        used = np.zeros(train_data.n, dtype=bool)  # not np.unique, which imports numpy.ma
+        used[np.concatenate([index for per_class in centers.values() for index in per_class])] = True
+        cols = np.flatnonzero(used)
     # per cover model, its terms and each class's center positions among cols
     plans = {
         j: (_cover_terms(models[j]), [np.searchsorted(cols, index) for index in per_class])

@@ -665,3 +665,23 @@ def test_library_simulation_leaves_the_allocator_alone(mallopt_calls):
     )
     run_simulation(config, [ClassifierSpec("pcccd", 0.5), ClassifierSpec("knn", 5)])
     assert mallopt_calls == []
+
+
+def test_commands_leave_the_numpy_buffer_size_alone(tmp_path):
+    # the distance kernel runs unbuffered only inside its own loop: classes
+    # of 70 points reach both of its unbuffered paths
+    rng = np.random.default_rng(6)
+    points = np.vstack([rng.random((70, 2)), 0.3 + rng.random((70, 2))])
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,cls\n" + "".join(f"{a!r},{b!r},{'ab'[i // 70]}\n" for i, (a, b) in enumerate(points.tolist())))
+    queries = features_csv(tmp_path, rng.random((100, 2)).tolist())
+    old = np.setbufsize(4096)
+    try:
+        for variant in ("pure", "random_walk"):
+            model = str(tmp_path / f"{variant}.json")
+            assert main(["train", "--data", str(data), "--variant", variant, "--out", model]) == 0
+            assert main(["predict", "--model", model, "--data", str(queries), "--scores", "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(with_flags(simulate_args(tmp_path), n="70", classifiers="pcccd,rwcccd,knn")) == 0
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)

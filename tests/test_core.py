@@ -2,8 +2,10 @@
 
 import gc
 import io
+import itertools
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -161,20 +163,88 @@ def test_the_transposed_block_is_equal_bit_for_bit(d):
     assert np.array_equal(got.view(np.int64), cross_distance_matrix(X, Y).T.view(np.int64))
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 130, 257])
+def test_cross_distance_matrix_at_the_unbuffered_thresholds_is_bit_for_bit(d):
+    # rows of 64 or more entries run unbuffered, and fewer than 64 columns
+    # against 64 or more rows run transposed; 300 rows make ragged last
+    # blocks on both paths (54 rows against 300 columns, 40 against 63)
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.uniform(-3, 3, d)
+    X = rng.standard_normal((300, d)) * scale
+    Y = rng.standard_normal((300, d)) * scale
+    Y[1] = X[0]  # a point in both sets
+    X[1] = X[0]  # a duplicate within one set
+    for n, m in itertools.product((1, 2, 63, 64, 65, 300), repeat=2):
+        got = cross_distance_matrix(X[:n], Y[:m])
+        assert np.array_equal(got.view(np.int64), broadcast_distance_matrix(X[:n], Y[:m]).view(np.int64)), (n, m)
+
+
+SHAPES = {"unbuffered": (50, 400), "transposed": (400, 50), "small": (10, 10)}
+
+
+@pytest.mark.parametrize("path", SHAPES)
+def test_cross_distance_matrix_restores_the_buffer_size(path, monkeypatch):
+    rng = np.random.default_rng(1)
+    n, m = SHAPES[path]
+    A, B = rng.random((n, 3)), rng.random((m, 3))
+    caller = np.getbufsize()
+    cross_distance_matrix(A, B)
+    assert np.getbufsize() == caller
+    old = np.setbufsize(4096)
+    try:
+        cross_distance_matrix(A, B)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+    seen = []
+
+    def fail(at, bt, out, work):
+        seen.append((out.shape, np.getbufsize()))
+        raise RuntimeError("inside the block loop")
+
+    monkeypatch.setattr(core, "_sum_squares", fail)
+    with pytest.raises(RuntimeError, match="inside the block loop"):
+        cross_distance_matrix(A, B)
+    assert np.getbufsize() == caller
+    # the first block's orientation and the buffer it ran under
+    assert seen == [{"unbuffered": ((40, 400), 16), "transposed": ((50, 327), 16), "small": ((10, 10), caller)}[path]]
+
+
+def test_cross_distance_matrix_restores_the_buffer_size_in_a_thread():
+    rng = np.random.default_rng(2)
+    seen = []
+
+    def run():
+        for n, m in SHAPES.values():
+            before = np.getbufsize()
+            cross_distance_matrix(rng.random((n, 3)), rng.random((m, 3)))
+            seen.append(np.getbufsize() == before)
+
+    caller = np.getbufsize()
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert seen == [True] * len(SHAPES)
+    assert np.getbufsize() == caller
+
+
 def test_cross_distance_matrix_frees_its_work_arrays_on_return():
     # with the collector off, arrays held by a reference cycle stay
-    # allocated; only the (50, 400) output may remain
+    # allocated; only the output may remain, on the row-block path
+    # (50, 400) and the transposed one (400, 50)
     rng = np.random.default_rng(0)
-    A, B = rng.random((50, 3)), rng.random((400, 3))
-    gc.disable()
-    tracemalloc.start()
-    try:
-        out = cross_distance_matrix(A, B)
-        current = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert current <= out.nbytes + 4096
+    for n, m in ((50, 400), (400, 50)):
+        A, B = rng.random((n, 3)), rng.random((m, 3))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            out = cross_distance_matrix(A, B)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert current <= out.nbytes + 4096, (n, m)
 
 
 def test_cross_distance_matrix_empty_errors():

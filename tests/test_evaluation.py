@@ -1,6 +1,9 @@
 """Tests for AUC, the k-NN baseline, overlap metrics and the harness."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import types
@@ -408,6 +411,23 @@ def test_run_simulation_score_modes_differ():
     assert cont != lab
     with pytest.raises(ValueError, match="score_mode"):
         run_simulation(small_config(), SPECS, score_mode="fuzzy")
+
+
+def test_rw_simulation_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma (numpy 2.4), 10-35 ms of a fresh process
+    code = """
+import sys
+from ccdig.evaluation import ClassifierSpec, SimulationConfig, run_simulation
+config = SimulationConfig(setting="shifted", d=2, n=30, m=10, delta=0.1, test_per_class=20, max_test_reps=2, se_target=0.0)
+for mode in ("label", "continuous"):
+    run_simulation(config, [ClassifierSpec("rwcccd", 0.5), ClassifierSpec("rwcccd", 1.0)], score_mode=mode)
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_run_simulation_se_shrinks_with_reps():
