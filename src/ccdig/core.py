@@ -8,19 +8,15 @@ are frozen after construction so they can be shared across threads.
 The distance kernel spends its time in one broadcast subtraction per
 coordinate, `np.subtract(a[:, None], b, out=dst)`. Under numpy's default
 8192-entry ufunc buffer that costs 1.0-1.5 ns per entry for rows of 64
-to 2000 entries, against 0.3-0.6 ns (0.9 at 64) with the buffer at its
-minimum of 16 entries (numpy 2.4, one thread of a 2-core host); the
-doubles are the same either way. Rows of 16 entries go the other way,
-about 2 ns buffered against 3 unbuffered. So the block loop runs with a
-16-entry buffer whenever its contiguous axis has at least UNBUFFERED_MIN
-entries, and against fewer than that many columns it sums each row block
-transposed, with the rows as the contiguous axis. It sets the buffer
-size around its own loop and restores the caller's in a `finally`, not
-through `np.errstate`, which restores it only from numpy 2.0 on: the
-size is per-thread state, and a process-wide 16-entry buffer makes
-casting reductions such as `np.count_nonzero(mask, axis=1)` about 5x
-slower. At d = 3 the kernel went from 6.3-7.0 to 4.0-4.6 ns per entry on
-shapes from 20x1600 to 1600x1600, and from 13.8 to 4.9 at 16384x3.
+to 2000 entries, against 0.3-0.6 ns (0.9 at 64) with a 16-entry buffer,
+and the doubles are the same (numpy 2.4, one thread of a 2-core host);
+rows of 16 entries run faster buffered, about 2 against 3 ns. So the
+block loop runs with a 16-entry buffer once its contiguous axis has
+UNBUFFERED_MIN entries, and sums blocks against fewer columns
+transposed. It restores the caller's size in a `finally`: the size is
+per-thread state, `np.errstate` restores it only from numpy 2.0 on, and
+a process-wide 16-entry buffer makes casting reductions such as
+`np.count_nonzero(mask, axis=1)` about 5x slower.
 """
 
 from __future__ import annotations
