@@ -9,8 +9,8 @@ power score**e. Prediction is the argmin over classes. The query path
 and the model JSON read and write the cover's arrays directly.
 
 The query path (`predict_batch`, `discriminant_batch`) works on blocks
-of at most rows = QUERY_BLOCK_BYTES // (8 * b) queries, b the largest
-number of balls in one class. A batch of at most `rows` queries is one
+of at most rows = core.block_rows(QUERY_BLOCK_BYTES, b) queries, b the
+largest ball count of a class. A batch of at most `rows` queries is one
 block, and each class's minimum is taken over the block's distances to
 all its balls (`_block_minima`); every one-row batch runs this way, and
 so does the `simulate` harness, on the columns of its own shared
@@ -84,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, _distances, as_points, check_hyper, cross_distance_matrix, write_text_atomic
+from .core import LabeledDataset, _distances, as_points, block_rows, check_hyper, write_text_atomic
 from .pccd import ClassCover, _pure_covers
 from .rwccd import rw_cover
 
@@ -187,11 +187,11 @@ def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
     """(n_points, n_classes) matrix of per-class minimum dissimilarities;
     see the module notes on the query leaves, the bound and memory."""
     terms = _cover_terms(model)
-    rows = max(1, QUERY_BLOCK_BYTES // (8 * max(cover.n_balls for cover in model.covers)))
+    rows = block_rows(QUERY_BLOCK_BYTES, max(cover.n_balls for cover in model.covers))
     if len(points) <= rows:
         if not len(points):
             return np.empty((0, model.n_classes), dtype=np.float64)
-        return _block_minima(terms, (cross_distance_matrix(points, term[0]) for term in terms), len(points))
+        return _block_minima(terms, (_distances(points, term[0]) for term in terms), len(points))
     out = np.empty((len(points), model.n_classes), dtype=np.float64)
     for leaf in _leaves(points, rows):
         block = points[leaf]
@@ -226,7 +226,7 @@ def _block_minima(terms, distances, rows: int) -> np.ndarray:
 
 def _dissimilarities(points, centers, safe, zero, exponent) -> np.ndarray:
     """(len(points), len(centers)) matrix of scaled dissimilarities."""
-    return _scale(cross_distance_matrix(points, centers), safe, zero, exponent)
+    return _scale(_distances(points, centers), safe, zero, exponent)
 
 
 def _scale(rho, safe, zero, exponent) -> np.ndarray:

@@ -12,11 +12,16 @@ to 2000 entries, against 0.3-0.6 ns (0.9 at 64) with a 16-entry buffer,
 and the doubles are the same (numpy 2.4, one thread of a 2-core host);
 rows of 16 entries run faster buffered, about 2 against 3 ns. So the
 block loop runs with a 16-entry buffer once its contiguous axis has
-UNBUFFERED_MIN entries, and sums blocks against fewer columns
+UNBUFFERED_MIN entries and neither set is one point (a one-row or
+one-column broadcast is one-dimensional: the buffer costs it nothing,
+and setting the size 2-3 us), and sums blocks against fewer columns
 transposed. It restores the caller's size in a `finally`: the size is
 per-thread state, `np.errstate` restores it only from numpy 2.0 on, and
 a process-wide 16-entry buffer makes casting reductions such as
 `np.count_nonzero(mask, axis=1)` about 5x slower.
+
+A point set is checked once, where it enters (`as_points`): library code
+calls `_distances` and `row_blocks`, not the checking `cross_distance_matrix`.
 """
 
 from __future__ import annotations
@@ -96,13 +101,11 @@ def cross_distance_matrix(A, B) -> np.ndarray:
     every d: the squared differences are summed one coordinate at a time
     and in the order numpy's float64 sum uses, so no (rows, m, d)
     temporary is built. Rows are taken in blocks of KERNEL_BLOCK // m (at
-    least one). With m >= UNBUFFERED_MIN a block is summed straight into
-    the output; with fewer columns but n >= UNBUFFERED_MIN it is summed
-    as its (m, rows) transpose, y - x squaring to the same double as
-    x - y, and its square root is written into the output; when both
-    sets are smaller the one block is summed into the output under the
-    caller's ufunc buffer. The first two run with numpy's ufunc buffer at
-    its minimum (see the module notes). The work arrays are blocks of
+    least one). A block is summed straight into the output or, where the
+    loop runs with numpy's ufunc buffer at its minimum (see the module
+    notes) and m < UNBUFFERED_MIN, as its (m, rows) transpose, y - x
+    squaring to the same double as x - y, whose square root is written
+    into the output. The work arrays are blocks of
     max(KERNEL_BLOCK, m) float64 entries (128 KiB at m <= 16384): one
     block (d < 8) or eight, one more for the transposed sums, plus a
     spare block for each open level at which a sum of more than
@@ -127,14 +130,12 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at, bt = a.T.copy(), b.T.copy()  # one contiguous row per coordinate
     rows = max(1, KERNEL_BLOCK // m)
     slots = 1 if d < 8 else 8
-    if max(n, m) < UNBUFFERED_MIN:
-        _sum_squares(at, bt, out, np.empty((slots, n, m), dtype=np.float64))
-        return np.sqrt(out, out=out)
-    flip = m < UNBUFFERED_MIN  # short rows: sum each block as its (m, rows) transpose
+    buffered = min(n, m) == 1 or max(n, m) < UNBUFFERED_MIN
+    flip = not buffered and m < UNBUFFERED_MIN  # short rows: sum each block as its (m, rows) transpose
     shape = (m, min(rows, n)) if flip else (min(rows, n), m)
     work = np.empty((slots, *shape), dtype=np.float64)
     acc = np.empty(shape, dtype=np.float64) if flip else None
-    old = np.setbufsize(16)
+    old = None if buffered else np.setbufsize(16)
     try:
         for i in range(0, n, rows):
             block = out[i : i + rows]
@@ -145,8 +146,22 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             else:
                 _sum_squares(at[:, i : i + rows], bt, block, work[:, :r])
     finally:
-        np.setbufsize(old)
+        if old is not None:
+            np.setbufsize(old)
     return out if flip else np.sqrt(out, out=out)
+
+
+def block_rows(budget: int, cols: int) -> int:
+    """Rows of float64 over `cols` columns that fit in `budget` bytes, at least one."""
+    return max(1, budget // (8 * cols))
+
+
+def row_blocks(a: np.ndarray, b: np.ndarray, budget: int):
+    """Yield (rows, `_distances(a[rows], b)`) over consecutive slices `rows`
+    of block_rows(budget, len(b)) rows of `a`, for `_distances`' a and b."""
+    step = block_rows(budget, len(b))
+    for i in range(0, len(a), step):
+        yield slice(i, i + step), _distances(a[i : i + step], b)
 
 
 def _sum_squares(at, bt, out, work) -> None:

@@ -13,8 +13,8 @@ points that some classifier reads: all of them when a k-NN is scored,
 otherwise only the covers' centers. k-NN counts its votes from the
 block; each cover takes its per-class minima from a gathered copy of
 its centers' columns, through the same one-block code as
-`classifier.predict_batch`. A block has rows =
-classifier.QUERY_BLOCK_BYTES // (8 * cols) rows, cols the training
+`classifier.predict_batch`. A block from `core.row_blocks` has rows =
+block_rows(classifier.QUERY_BLOCK_BYTES, cols) rows, cols the training
 points it reads, so its float64 distances take at most that many bytes;
 k-NN adds a partitioned copy and two boolean masks, about 18 bytes per
 query-training pair in all (a tied row about 13 more). A cover's
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import classifier
 from .classifier import VARIANT_PURE, VARIANT_RW, _block_minima, _cover_terms, _gap, _labels, train
-from .core import LabeledDataset, as_points, check_hyper, cross_distance_matrix, sample_uniform_box
+from .core import LabeledDataset, as_points, check_hyper, row_blocks, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
 # classifier kind -> the one hyperparameter it takes
@@ -105,16 +105,14 @@ def _knn_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int) -> 
 
 
 def _knn_batch_votes(train_data: LabeledDataset, points, k: int) -> np.ndarray:
-    """`_knn_votes` of every query point, in row blocks of
-    classifier.QUERY_BLOCK_BYTES // (8 * n) rows, n the training size."""
+    """`_knn_votes` of every query point, in the row blocks
+    `row_blocks` makes of classifier.QUERY_BLOCK_BYTES."""
     pts = as_points(points)
     if pts.shape[1] != train_data.dim:
         raise ValueError("dimension mismatch between query and training data")
     votes = np.empty((len(pts), train_data.n_classes), dtype=np.int64)
-    rows = max(1, classifier.QUERY_BLOCK_BYTES // (8 * train_data.n))
-    for i in range(0, len(pts), rows):
-        dist = cross_distance_matrix(pts[i : i + rows], train_data.points)
-        votes[i : i + rows] = _knn_votes(dist, train_data.labels, k, train_data.n_classes)
+    for rows, dist in row_blocks(pts, train_data.points, classifier.QUERY_BLOCK_BYTES):
+        votes[rows] = _knn_votes(dist, train_data.labels, k, train_data.n_classes)
     return votes
 
 
@@ -380,9 +378,7 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
     }
     reference = train_data.points[cols]
     scores = np.empty((len(classifiers), len(test_points)), dtype=np.float64)  # labels convert exactly
-    rows = max(1, classifier.QUERY_BLOCK_BYTES // (8 * len(cols)))
-    for i in range(0, len(test_points), rows):
-        block = cross_distance_matrix(test_points[i : i + rows], reference)
+    for rows, block in row_blocks(test_points, reference, classifier.QUERY_BLOCK_BYTES):
         for j, (spec, model) in enumerate(zip(classifiers, models)):
             if model is None:
                 k = int(spec.param)
@@ -393,7 +389,7 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
                 # each class's columns are gathered into a copy, which _block_minima scales in place
                 minima = _block_minima(terms, (block[:, c] for c in columns), len(block))
                 out = _labels(minima, model.class_counts) if score_mode == "label" else _gap(minima, 1)
-            scores[j, i : i + rows] = out
+            scores[j, rows] = out
     aucs = [auc(s, test_labels) for s in scores]
     protos = [None if m is None else sum(cover.n_balls for cover in m.covers) for m in models]
     return aucs, protos

@@ -31,12 +31,12 @@ blocked pass on plain arrays:
 5. the `ClassCover` (the cover of both families) of the selected rows:
    `X[sel]`, `sel` and `radii[sel]`.
 
-A block holds FIT_BLOCK_BYTES of float64 distances, rows by all the
-columns. Its entries equal the full matrix's rows bit for bit, the
-(c', c) entries equal the (c, c') ones, and `min` and `any` do not depend
-on the order they read them in, so the covers are those of the full
-matrices. `pccd_radii` and `build_pccd_digraph` keep the full-matrix
-forms of steps 2 and 3.
+Steps 1 and 2 take their blocks from `core.row_blocks`: FIT_BLOCK_BYTES
+of float64 distances, rows by all the columns. A block's entries equal
+the full matrix's rows bit for bit, the (c', c) entries equal the
+(c, c') ones, and `min` and `any` do not depend on the order they read
+them in, so the covers are those of the full matrices. `pccd_radii` and
+`build_pccd_digraph` keep the full-matrix forms of steps 2 and 3.
 
 Memory (two classes, n = m, d = 3, tracemalloc over `train`): only the
 n x n boolean catch matrix, 1 byte per n * n cell, lives through a fit,
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_points, check_hyper, cross_distance_matrix
+from .core import as_points, block_rows, check_hyper, row_blocks
 
 # float64 bytes in one block of fit distances, rows by all the columns;
 # two-class fits at n = 1600 and 4000 took the same time from 256 KiB to
@@ -206,6 +206,8 @@ def pccd_cover(targets, nontargets, tau: float, class_id: int = 0) -> ClassCover
     Y = as_points(nontargets)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("both the target and non-target class must be non-empty")
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     return _pure_cover(X, _nearest_other([X, Y])[0], check_hyper("tau", tau), class_id)
 
 
@@ -214,12 +216,6 @@ def _pure_covers(parts, tau: float) -> list[ClassCover]:
     the classes' point sets `parts`."""
     d_near = _nearest_other(parts)
     return [_pure_cover(X, d_near[c], tau, c) for c, X in enumerate(parts)]
-
-
-def _block_rows(cols: int) -> int:
-    """Rows of a distance block over `cols` columns: FIT_BLOCK_BYTES of
-    float64, at least one row."""
-    return max(1, FIT_BLOCK_BYTES // (8 * cols))
 
 
 def _nearest_other(parts) -> list[np.ndarray]:
@@ -231,11 +227,8 @@ def _nearest_other(parts) -> list[np.ndarray]:
     d_near = [np.full(len(X), np.inf) for X in parts]
     for c, X in enumerate(parts):
         for later in range(c + 1, len(parts)):
-            Y = parts[later]
-            rows = _block_rows(len(Y))
-            for i in range(0, len(X), rows):
-                block = cross_distance_matrix(X[i : i + rows], Y)
-                np.minimum(d_near[c][i : i + rows], block.min(axis=1), out=d_near[c][i : i + rows])
+            for rows, block in row_blocks(X, parts[later], FIT_BLOCK_BYTES):
+                np.minimum(d_near[c][rows], block.min(axis=1), out=d_near[c][rows])
                 np.minimum(d_near[later], block.min(axis=0), out=d_near[later])
     return d_near
 
@@ -244,21 +237,20 @@ def _pure_cover(X: np.ndarray, d_near: np.ndarray, tau: float, class_id: int) ->
     """The pure cover of the targets X, from their nearest non-target
     distances; see the module notes."""
     n = len(X)
-    rows = _block_rows(n)
     radii = np.empty(n)
     closed = np.empty((n, n), dtype=bool)
-    for i in range(0, n, rows):
-        dist = cross_distance_matrix(X[i : i + rows], X)
-        radii[i : i + rows] = _radii(dist, d_near[i : i + rows], tau)
-        np.less(dist, radii[i : i + rows, None], out=closed[i : i + rows])
+    for rows, dist in row_blocks(X, X, FIT_BLOCK_BYTES):
+        radii[rows] = _radii(dist, d_near[rows], tau)
+        np.less(dist, radii[rows, None], out=closed[rows])
     np.fill_diagonal(closed, True)
     sel = np.array(greedy_dominating_set(closed), dtype=np.int64)
     r_sel = radii[sel]
     # a ball holds a non-target iff its nearest one lies inside it
     is_pure = not np.any(d_near[sel] < r_sel)
     covered = np.zeros(n, dtype=bool)
-    for i in range(0, len(sel), rows):
-        covered |= closed[sel[i : i + rows]].any(axis=0)  # the diagonal: a center covers itself
+    step = block_rows(FIT_BLOCK_BYTES, n)
+    for i in range(0, len(sel), step):
+        covered |= closed[sel[i : i + step]].any(axis=0)  # the diagonal: a center covers itself
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, is_pure=is_pure, is_proper=covered.all()
     )

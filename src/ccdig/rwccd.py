@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KERNEL_BLOCK, as_points, cross_distance_matrix
+from .core import KERNEL_BLOCK, _distances, as_points
 from .pccd import ClassCover
 
 
@@ -231,7 +231,7 @@ class _Candidates:
 
 def _lengths(diff) -> np.ndarray:
     """The length of each row of `diff`: numpy's float64 sum of the
-    squares, which `cross_distance_matrix` reproduces bit for bit, so the
+    squares, which `core._distances` reproduces bit for bit, so the
     length of a - b is the kernel's distance between a and b."""
     return np.sqrt((diff * diff).sum(axis=1))
 
@@ -258,7 +258,7 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     m = len(Y)
     allpts = np.vstack([X, Y])
     shift = _packing_shift(n, m)  # before any large allocation
-    dist = cross_distance_matrix(X, allpts)  # (n, n + m)
+    dist = _distances(X, allpts)  # (n, n + m)
     d_max = dist[:, :n].max(axis=1)
     d_max[d_max == 0] = np.inf  # one target, or targets that coincide: a zero penalty
     # sort each row once, in any order within a run of equal distances (see
@@ -291,7 +291,7 @@ def rw_cover(targets, nontargets, class_id: int = 0) -> ClassCover:
     del cands  # its sort order and keys, before the flags' distances
     sel, r_sel, s_sel = (np.array(column) for column in zip(*picks))
     reach = r_sel > 0  # a zero-radius ball covers nothing, not even its center
-    is_proper = reach.any() and (cross_distance_matrix(X, X[sel[reach]]) <= r_sel[reach]).any(axis=1).all()
+    is_proper = reach.any() and (_distances(X, X[sel[reach]]) <= r_sel[reach]).any(axis=1).all()
     return ClassCover(
         class_id=class_id, centers=X[sel], center_index=sel, radii=r_sel, scores=s_sel,
         is_pure=alive[n:].all(),  # no non-target lies in a closed ball

@@ -63,6 +63,14 @@ def test_benchmark_spans_name_live_functions():
         assert callable(getattr(importlib.import_module(f"ccdig.{module}"), name, None)), f"{module}.{name}"
 
 
+def test_only_core_refers_to_the_checking_kernel():
+    # library code calls core._distances on point sets checked where they
+    # entered; cross_distance_matrix is the public, checking kernel
+    src = pathlib.Path(ccdig.__file__).parent
+    users = sorted(p.stem for p in src.glob("*.py") if "cross_distance_matrix" in p.read_text(encoding="utf-8"))
+    assert users == ["__init__", "core"]
+
+
 def test_readme_python_example_runs(tmp_path, monkeypatch):
     # the first python block of the README, run as written; it saves model.json
     block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]

@@ -3,6 +3,7 @@ discriminant, persistence."""
 
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccdig import classifier
+from ccdig import classifier, core
 from ccdig.classifier import (
     LARGE_GAP,
     SCORE_CLAMP,
@@ -247,15 +248,17 @@ def _blocking_models():
 
 def _counting_kernel(monkeypatch):
     """Wrap the query path's distance kernel; the list it returns holds
-    the number of entries of each call."""
-    kernel, entries = classifier.cross_distance_matrix, []
+    the number of entries of each call, leaving out the leaf bound's
+    calls against the origin."""
+    kernel, entries = classifier._distances, []
 
     def counting(a, b):
         result = kernel(a, b)
-        entries.append(result.size)
+        if len(b) > 1 or b.any():
+            entries.append(result.size)
         return result
 
-    monkeypatch.setattr(classifier, "cross_distance_matrix", counting)
+    monkeypatch.setattr(classifier, "_distances", counting)
     return entries
 
 
@@ -361,6 +364,46 @@ def test_query_leaves_compute_under_a_quarter_of_the_pairs(monkeypatch):
     assert sum(entries) < len(queries) * balls / 4
     assert np.array_equal(minima, expected)
     assert np.array_equal(labels, classifier._labels(expected, model.class_counts))
+
+
+def _counting_as_points(monkeypatch):
+    """Wrap `core.as_points` in every ccdig module that binds it; the list
+    it returns gets one entry per call."""
+    real, calls = core.as_points, []
+
+    def counting(ps):
+        calls.append(1)
+        return real(ps)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ccdig" or name.startswith("ccdig."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_train_and_predict_check_their_point_sets_once(monkeypatch):
+    # a point set is checked where it enters the library, not once per
+    # distance block: a pure fit checks each cover's centers, and a batch of
+    # many query leaves is checked once, however large n or the batch
+    monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 2**15)
+    calls = _counting_as_points(monkeypatch)
+    counts = []
+    for n in (200, 1600):
+        rng = np.random.default_rng(n)
+        data = LabeledDataset(points=rng.uniform(0.0, 1.0, (2 * n, 3)) + np.repeat([0.0, 0.1], n)[:, None],
+                              labels=np.repeat([0, 1], n))
+        queries = rng.uniform(0.0, 1.1, (4000, 3))
+        calls.clear()
+        model = train(data, "pure", tau=0.5)
+        fit = len(calls)
+        widest = max(cover.n_balls for cover in model.covers)
+        assert len(queries) > 4 * core.block_rows(classifier.QUERY_BLOCK_BYTES, widest)  # several leaves
+        calls.clear()
+        predict_batch(model, queries)
+        counts.append((fit, len(calls)))
+    assert counts == [(2, 1), (2, 1)]
 
 
 def test_a_lone_kept_ball_gets_the_vector_power(monkeypatch):

@@ -21,6 +21,7 @@ from ccdig.core import (
     cross_distance_matrix,
     parse_dataset,
     parse_feature_csv,
+    row_blocks,
     sample_uniform_box,
 )
 from helpers import broadcast_distance_matrix, coordinate_bound, dataset_to_csv, distance, feature_matrix
@@ -145,8 +146,9 @@ def test_row_blocks_are_the_full_matrix_rows_bit_for_bit(d):
     X[7] = X[2]
     full = cross_distance_matrix(X, Y).view(np.int64)
     for rows in (1, 4, 11):  # one-row, ragged (4 + 4 + 3) and whole splits
-        blocks = [cross_distance_matrix(X[i : i + rows], Y).view(np.int64) for i in range(0, len(X), rows)]
-        assert np.array_equal(np.vstack(blocks), full), rows
+        slices, blocks = zip(*row_blocks(X, Y, 8 * len(Y) * rows))
+        assert [i for s in slices for i in range(len(X))[s]] == list(range(len(X))), rows
+        assert np.array_equal(np.vstack(blocks).view(np.int64), full), rows
 
 
 @pytest.mark.parametrize("d", [1, 3, 8, 9, 130])
@@ -179,7 +181,13 @@ def test_cross_distance_matrix_at_the_unbuffered_thresholds_is_bit_for_bit(d):
         assert np.array_equal(got.view(np.int64), broadcast_distance_matrix(X[:n], Y[:m]).view(np.int64)), (n, m)
 
 
-SHAPES = {"unbuffered": (50, 400), "transposed": (400, 50), "small": (10, 10)}
+SHAPES = {
+    "unbuffered": (50, 400),
+    "transposed": (400, 50),
+    "small": (10, 10),
+    "one row": (1, 400),
+    "one column": (20000, 1),
+}
 
 
 @pytest.mark.parametrize("path", SHAPES)
@@ -206,8 +214,18 @@ def test_cross_distance_matrix_restores_the_buffer_size(path, monkeypatch):
     with pytest.raises(RuntimeError, match="inside the block loop"):
         cross_distance_matrix(A, B)
     assert np.getbufsize() == caller
-    # the first block's orientation and the buffer it ran under
-    assert seen == [{"unbuffered": ((40, 400), 16), "transposed": ((50, 327), 16), "small": ((10, 10), caller)}[path]]
+    # the first block's orientation and the buffer it ran under; a one-row
+    # or one-column broadcast is one-dimensional and runs buffered, and a
+    # one-column block keeps to KERNEL_BLOCK rows
+    assert seen == [
+        {
+            "unbuffered": ((40, 400), 16),
+            "transposed": ((50, 327), 16),
+            "small": ((10, 10), caller),
+            "one row": ((1, 400), caller),
+            "one column": ((16384, 1), caller),
+        }[path]
+    ]
 
 
 def test_cross_distance_matrix_restores_the_buffer_size_in_a_thread():

@@ -500,13 +500,14 @@ def test_a_replication_scores_as_the_library_does(monkeypatch, score_mode, kinds
     # blocks of at most 7 rows: the 60 test points span at least 9 of them
     monkeypatch.setattr(classifier, "QUERY_BLOCK_BYTES", 8 * 2 * 7)
     blocks = []
-    real = evaluation.cross_distance_matrix
+    real = evaluation.row_blocks
 
-    def counting(a, b):
-        blocks.append(len(a))
-        return real(a, b)
+    def counting(a, b, budget):
+        for rows, block in real(a, b, budget):
+            blocks.append(len(block))
+            yield rows, block
 
-    monkeypatch.setattr(evaluation, "cross_distance_matrix", counting)
+    monkeypatch.setattr(evaluation, "row_blocks", counting)
     for rep in range(3):
         blocks.clear()
         assert evaluation._run_replication(cfg, specs, rep, score_mode) == expected[rep]

@@ -197,6 +197,13 @@ def test_cover_requires_both_classes():
         pccd_cover([[1.0]], np.empty((0, 1)), 0.5)
 
 
+def test_cover_requires_one_dimension():
+    # the fit's distance blocks take checked sets, so the cover checks them
+    for targets, nontargets in (([[0.0, 0.0]], [[1.0]]), ([[0.0]], [[1.0, 1.0]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pccd_cover(targets, nontargets, 0.5)
+
+
 def test_cover_purity_and_properness_random():
     for seed in range(20):
         X, Y = random_instance(seed, n_range=(5, 40), m_range=(5, 40))

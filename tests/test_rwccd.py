@@ -361,7 +361,7 @@ def test_packing_shift_rejects_counts_beyond_int32(monkeypatch):
     def no_distances(*args):
         raise AssertionError("the distance matrix was computed")
 
-    monkeypatch.setattr(rwccd, "cross_distance_matrix", no_distances)
+    monkeypatch.setattr(rwccd, "_distances", no_distances)
     with pytest.raises(ValueError, match="int32"):
         rw_cover(np.zeros((2**18, 1)), np.zeros((2**12, 1)))
 
