@@ -189,8 +189,6 @@ def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
     terms = _cover_terms(model)
     rows = block_rows(QUERY_BLOCK_BYTES, max(cover.n_balls for cover in model.covers))
     if len(points) <= rows:
-        if not len(points):
-            return np.empty((0, model.n_classes), dtype=np.float64)
         return _block_minima(terms, (_distances(points, term[0]) for term in terms), len(points))
     out = np.empty((len(points), model.n_classes), dtype=np.float64)
     for leaf in _leaves(points, rows):

@@ -121,7 +121,7 @@ def cross_distance_matrix(A, B) -> np.ndarray:
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`cross_distance_matrix` of non-empty (n, d) and (m, d) float64
+    """`cross_distance_matrix` of (n, d) and non-empty (m, d) float64
     matrices, without its checks. A coordinate difference of up to twice
     the `as_points` bound squares to at most max_double / (2 d), so d of
     them still sum without overflow."""

@@ -17,13 +17,19 @@ blocked pass on plain arrays:
    all n targets, the block's radii from them and `d_near` (`_radii`,
    the formula `pccd_radii` documents), and the block's rows of the
    closed catch matrix, `dist < radii[:, None]`; then the diagonal is
-   set;
+   set. A radius is one masked maximum, d_far over the entries below
+   d_near with 0 as its floor, then the blend; as every row holds its
+   own target at distance 0, the floor changes nothing when d_near > 0,
+   and when d_near = 0 no entry qualifies and the blend of two zeros is
+   the radius 0, so no zero case needs a mask;
 3. the greedy dominating set on that matrix, which keeps each vertex's
    count of undominated closed neighbours current by subtracting the
-   columns each pick dominates, so every column is summed once; once
-   the largest count is 1, no undominated vertex catches another, and
-   the rest are appended in index order in one step
-   (`greedy_dominating_set`);
+   columns each pick dominates, so every column is summed once; a dead
+   vertex's count is pinned at 0 when it dies and can only fall after,
+   below every live count, which holds the vertex itself, so the pick
+   is a plain argmax; once the largest
+   count is 1, no undominated vertex catches another, and the rest are
+   appended in index order in one step (`greedy_dominating_set`);
 4. the purity and properness flags, without distances: a ball holds a
    non-target iff its center's nearest one lies inside it,
    `d_near[sel] < radii[sel]`, and a target is covered iff a selected
@@ -142,12 +148,12 @@ def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
 
 def _radii(dist_t, d_near, tau: float) -> np.ndarray:
     """`pccd_radii` of target rows `dist_t` (rows, n), given their
-    nearest non-target distances `d_near` (rows,), with tau already checked."""
-    masked = np.where(dist_t < d_near[:, None], dist_t, -np.inf)
-    d_far = masked.max(axis=1)
-    d_far = np.where(d_near > 0, d_far, 0.0)
-    radii = (1.0 - tau) * d_far + tau * d_near
-    return np.where(d_near > 0, radii, 0.0)
+    nearest non-target distances `d_near` (rows,), with tau already
+    checked. Each row holds its own target at distance 0, so d_far >= 0
+    wherever d_near > 0, and the floor `initial=0.0` stands in only where
+    d_near = 0 and no entry qualifies."""
+    d_far = dist_t.max(axis=1, where=dist_t < d_near[:, None], initial=0.0)
+    return (1.0 - tau) * d_far + tau * d_near
 
 
 def build_pccd_digraph(dist_t, radii) -> np.ndarray:
@@ -184,15 +190,15 @@ def greedy_dominating_set(closed) -> list[int]:
     alive = np.ones(len(closed), dtype=bool)
     selected: list[int] = []
     while alive.any():
-        live_counts = np.where(alive, counts, -1)
-        v = int(np.argmax(live_counts))
-        if live_counts[v] == 1:
+        v = int(np.argmax(counts))
+        if counts[v] == 1:
             selected.extend(np.flatnonzero(alive).tolist())
             break
         selected.append(v)
         newly = closed[v] & alive
         alive &= ~newly
         counts -= closed[:, newly].sum(axis=1)
+        counts[newly] = 0  # a live vertex counts itself, so a dead one never wins
     return selected
 
 

@@ -42,7 +42,10 @@ def test_radius_singleton_target():
 
 
 def test_radius_duplicate_across_classes_is_zero():
-    assert radius(0, [0.0, 1.0], [0.0], 0.7) == 0.0
+    # d_near = 0: no target distance lies below it, and the radius is +0.0
+    for tau in (np.finfo(float).eps, 0.7, 1.0):
+        r = radius(0, [0.0, 1.0], [0.0], tau)
+        assert r == 0.0 and np.copysign(1.0, r) == 1.0, tau
 
 
 def test_radius_tau_validation():
