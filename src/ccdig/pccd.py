@@ -17,17 +17,12 @@ blocked pass on plain arrays:
    all n targets, the block's radii from them and `d_near` (`_radii`,
    the formula `pccd_radii` documents), and the block's rows of the
    closed catch matrix, `dist < radii[:, None]`; then the diagonal is
-   set. A radius is one masked maximum, d_far over the entries below
-   d_near with 0 as its floor, then the blend; as every row holds its
-   own target at distance 0, the floor changes nothing when d_near > 0,
-   and when d_near = 0 no entry qualifies and the blend of two zeros is
-   the radius 0, so no zero case needs a mask;
+   set. A radius is one masked maximum with floor 0: every row holds its
+   own target at distance 0, so no zero case (d_near = 0) needs a mask;
 3. the greedy dominating set on that matrix, which keeps each vertex's
    count of undominated closed neighbours current by subtracting the
    columns each pick dominates, so every column is summed once; a dead
-   vertex's count is pinned at 0 when it dies and can only fall after,
-   below every live count, which holds the vertex itself, so the pick
-   is a plain argmax; once the largest
+   vertex's count is zeroed and never exceeds 0 again; once the largest
    count is 1, no undominated vertex catches another, and the rest are
    appended in index order in one step (`greedy_dominating_set`);
 4. the purity and properness flags, without distances: a ball holds a
@@ -149,9 +144,7 @@ def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
 def _radii(dist_t, d_near, tau: float) -> np.ndarray:
     """`pccd_radii` of target rows `dist_t` (rows, n), given their
     nearest non-target distances `d_near` (rows,), with tau already
-    checked. Each row holds its own target at distance 0, so d_far >= 0
-    wherever d_near > 0, and the floor `initial=0.0` stands in only where
-    d_near = 0 and no entry qualifies."""
+    checked; each row holds its own target at distance 0."""
     d_far = dist_t.max(axis=1, where=dist_t < d_near[:, None], initial=0.0)
     return (1.0 - tau) * d_far + tau * d_near
 
