@@ -134,23 +134,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _config(args, **shift) -> SimulationConfig:
+    """The config of the flags `simulate` and `pilot` share, with the fields in `shift`."""
+    return SimulationConfig(
+        setting=args.setting, d=args.d, n=args.n, test_per_class=args.test_per_class, base_seed=args.seed, **shift
+    )
+
+
 def _simulate_configs(args) -> list[SimulationConfig]:
     """One config per (delta, alpha, q, m) in the flag lists, shifts outermost."""
     lists = [[None] if raw is None else _float_list(raw) for raw in (args.delta, args.alpha, args.q, args.m)]
     return [
-        SimulationConfig(
-            setting=args.setting,
-            d=args.d,
-            n=args.n,
-            q=q,
-            m=m,
-            delta=delta,
-            alpha=alpha,
-            test_per_class=args.test_per_class,
-            max_test_reps=args.max_reps,
-            se_target=args.se_target,
-            base_seed=args.seed,
-        )
+        _config(args, q=q, m=m, delta=delta, alpha=alpha, max_test_reps=args.max_reps, se_target=args.se_target)
         for delta, alpha, q, m in itertools.product(*lists)
     ]
 
@@ -191,16 +186,7 @@ def cmd_pilot(args) -> int:
     with _flag_values():
         # the conventional tau grid writes machine epsilon as 0
         grid = [EPSILON_TAU if v == 0.0 and family == "pcccd" else v for v in _float_list(args.grid)]
-        config = SimulationConfig(
-            setting=args.setting,
-            d=args.d,
-            n=args.n,
-            q=args.q,
-            delta=args.delta,
-            alpha=args.alpha,
-            test_per_class=args.test_per_class,
-            base_seed=args.seed,
-        )
+        config = _config(args, q=args.q, delta=args.delta, alpha=args.alpha)
         result = pilot_study(config, family, grid, reps=args.reps, score_mode=args.score_mode)
     print(f"pilot over {result.reps} replications ({family}):")
     for value, count in zip(result.grid, result.counts):

@@ -51,8 +51,11 @@ SCORE_MODES = ("label", "continuous")
 def auc(scores, labels) -> float:
     """Area under the ROC curve via the Mann-Whitney statistic with ties.
 
-    Equals (#{positive-negative pairs ranked correctly} + half the tied
-    pairs) / (n1 * n0).
+    Equals U / (n1 * n0), U = #{positive-negative pairs ranked correctly}
+    + half the tied pairs. Twice U is counted from the sorted negatives;
+    2U and n1 * n0 are integers below 2**53 (with fewer than 9e7 points
+    per class), so the result is U / (n1 * n0) correctly rounded, whatever
+    the order of the scores.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
@@ -66,15 +69,11 @@ def auc(scores, labels) -> float:
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise ValueError("both label values must be present")
-    order = np.argsort(s)  # each run gets its mean rank, whatever its order
-    ss = s[order]
-    starts = np.concatenate([[0], np.flatnonzero(ss[1:] != ss[:-1]) + 1])
-    ends = np.concatenate([starts[1:], [len(ss)]])
-    mean_ranks = (starts + ends + 1) / 2.0  # 1-based average rank per tie run
-    ranks = np.empty(len(ss), dtype=np.float64)
-    ranks[order] = np.repeat(mean_ranks, ends - starts)
-    rank_sum = ranks[y == 1].sum()
-    return float((rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    neg = np.sort(s[y == 0])
+    pos = s[y == 1]
+    # each positive counts the negatives below it twice and those tied once
+    twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    return float(twice_u / 2 / (n1 * n0))
 
 
 def _knn_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int) -> np.ndarray:
@@ -360,32 +359,31 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
             models.append(None)
     # each cover model's centers, per class, as training indices
     members = [np.flatnonzero(train_data.labels == c) for c in range(train_data.n_classes)]
-    centers = {
-        j: [members[c][cover.center_index] for c, cover in enumerate(model.covers)]
-        for j, model in enumerate(models)
-        if model is not None
-    }
-    if len(centers) < len(models):
-        cols = np.arange(train_data.n)
-    else:
-        used = np.zeros(train_data.n, dtype=bool)  # not np.unique, which imports numpy.ma
-        used[np.concatenate([index for per_class in centers.values() for index in per_class])] = True
-        cols = np.flatnonzero(used)
-    # per cover model, its terms and each class's center positions among cols
-    plans = {
-        j: (_cover_terms(models[j]), [np.searchsorted(cols, index) for index in per_class])
-        for j, per_class in centers.items()
-    }
-    reference = train_data.points[cols]
+    centers = [
+        None if model is None else [members[c][cover.center_index] for c, cover in enumerate(model.covers)]
+        for model in models
+    ]
+    # the training points a block holds (see the module notes); a mask, not
+    # np.unique, which imports numpy.ma
+    used = np.full(train_data.n, any(model is None for model in models))
+    for per_class in filter(None, centers):
+        used[np.concatenate(per_class)] = True
+    column = np.cumsum(used) - 1  # each used training point's column in a block
+    # per cover model, its terms and each class's center columns
+    plans = [
+        None if model is None else (_cover_terms(model), [column[index] for index in per_class])
+        for model, per_class in zip(models, centers)
+    ]
+    reference = train_data.points[used]
     scores = np.empty((len(classifiers), len(test_points)), dtype=np.float64)  # labels convert exactly
     for rows, block in row_blocks(test_points, reference, classifier.QUERY_BLOCK_BYTES):
-        for j, (spec, model) in enumerate(zip(classifiers, models)):
+        for j, (spec, model, plan) in enumerate(zip(classifiers, models, plans)):
             if model is None:
                 k = int(spec.param)
                 votes = _knn_votes(block, train_data.labels, k, train_data.n_classes)
                 out = _labels(-votes, train_data.class_counts) if score_mode == "label" else votes[:, 1] / k
             else:
-                terms, columns = plans[j]
+                terms, columns = plan
                 # each class's columns are gathered into a copy, which _block_minima scales in place
                 minima = _block_minima(terms, (block[:, c] for c in columns), len(block))
                 out = _labels(minima, model.class_counts) if score_mode == "label" else _gap(minima, 1)
@@ -496,8 +494,7 @@ def pilot_study(
         raise ValueError("reps must be at least 1")
     counts = np.zeros(len(grid), dtype=np.int64)
     for aucs, _ in _replications(config, specs, score_mode, reps, threads=1):
-        top = max(aucs)
-        counts[[i for i, a in enumerate(aucs) if a == top]] += 1
+        counts += np.equal(aucs, max(aucs))
     return PilotResult(family=family, grid=grid, counts=tuple(int(c) for c in counts), reps=reps)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import itertools
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from ccdig.classifier import load_model, predict_batch, save_model, train
 from ccdig import cli
 from ccdig.cli import main
 from ccdig.core import parse_dataset
-from ccdig.evaluation import ClassifierSpec, SimulationConfig, run_simulation
+from ccdig.evaluation import ClassifierSpec, SimulationConfig, pilot_study, report_rows, run_simulation
 from helpers import predict_csv
 
 TOY = "x1,x2,cls\n" + "\n".join(
@@ -594,6 +595,32 @@ def test_shared_flags_parse_as_before(monkeypatch, argv, seed_env, expected):
     else:
         monkeypatch.setenv("CCDIG_SEED", seed_env)
     assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+def test_simulate_reports_the_configs_its_flags_name(tmp_path):
+    assert main(simulate_args(tmp_path)) == 0
+    specs = [ClassifierSpec("rwcccd", 1.0), ClassifierSpec("knn", 5)]
+    expected = []
+    for delta, q in itertools.product((0.2, 0.6), (0.5, 1.0)):
+        config = SimulationConfig(
+            setting="shifted", d=2, n=16, q=q, delta=delta, test_per_class=10, max_test_reps=3, se_target=0.0, base_seed=11
+        )
+        expected += [{f: str(v) for f, v in row.items()} for row in report_rows(run_simulation(config, specs))]
+    with open(tmp_path / "report.csv") as fh:
+        assert list(csv.DictReader(fh)) == expected
+
+
+def test_pilot_counts_the_config_its_flags_name(capsys):
+    argv = [
+        "pilot", "--setting", "balanced_overlap", "--d", "2", "--n", "20", "--q", "0.5", "--alpha", "0.4",
+        "--family", "rwcccd", "--grid", "0,0.5,1", "--reps", "8", "--test-per-class", "9", "--seed", "5",
+        "--score-mode", "continuous",
+    ]
+    assert main(argv) == 0
+    config = SimulationConfig(setting="balanced_overlap", d=2, n=20, q=0.5, alpha=0.4, test_per_class=9, base_seed=5)
+    result = pilot_study(config, "rwcccd", [0, 0.5, 1], reps=8, score_mode="continuous")
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split(":")[1]) for line in lines if line.startswith("  ")] == list(result.counts)
 
 
 def test_unknown_subcommand_is_usage_error():

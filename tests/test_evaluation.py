@@ -67,7 +67,17 @@ def test_auc_matches_brute_force_with_ties():
             scores = rng.integers(0, 4, n1 + n0).astype(float)  # heavy ties
         else:
             scores = rng.normal(size=n1 + n0)
-        assert auc(scores, labels) == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+        assert auc(scores, labels) == brute_force_auc(scores, labels)  # both are U / (n1 * n0), exactly
+    # large samples on four levels, against the integer pair count
+    for n1, n0 in [(2000, 2000), (2000, 1), (1, 2000), *rng.integers(1, 2001, (3, 2)).tolist()]:
+        pos = rng.integers(0, 4, n1).astype(float)
+        neg = rng.integers(0, 4, n0).astype(float)
+        greater = int(np.count_nonzero(pos[:, None] > neg))
+        equal = int(np.count_nonzero(pos[:, None] == neg))
+        order = rng.permutation(n1 + n0)
+        scores = np.concatenate([pos, neg])[order]
+        labels = np.concatenate([np.ones(n1, np.int64), np.zeros(n0, np.int64)])[order]
+        assert auc(scores, labels) == (2 * greater + equal) / 2 / (n1 * n0)
 
 
 def test_auc_matches_trapezoid_roc():
@@ -414,13 +424,16 @@ def test_run_simulation_score_modes_differ():
 
 
 def test_rw_simulation_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma (numpy 2.4), 10-35 ms of a fresh process
+    # np.unique imports numpy.ma (numpy 2.4), 10-35 ms of a fresh process;
+    # the harness's column plans, auc and the pilot's winners avoid it
     code = """
 import sys
-from ccdig.evaluation import ClassifierSpec, SimulationConfig, run_simulation
+from ccdig.evaluation import ClassifierSpec, SimulationConfig, pilot_study, run_simulation
 config = SimulationConfig(setting="shifted", d=2, n=30, m=10, delta=0.1, test_per_class=20, max_test_reps=2, se_target=0.0)
 for mode in ("label", "continuous"):
     run_simulation(config, [ClassifierSpec("rwcccd", 0.5), ClassifierSpec("rwcccd", 1.0)], score_mode=mode)
+    run_simulation(config, [ClassifierSpec("pcccd", 0.5), ClassifierSpec("rwcccd", 0.5), ClassifierSpec("knn", 3)], score_mode=mode)
+pilot_study(config, "knn", [1, 3, 5], reps=2)
 print("numpy.ma" in sys.modules)
 """
     src = os.path.dirname(os.path.dirname(evaluation.__file__))
@@ -489,7 +502,7 @@ def library_replication(config, specs, rep, score_mode):
 
 
 @pytest.mark.parametrize("score_mode", ["label", "continuous"])
-@pytest.mark.parametrize("kinds", [("pcccd", "knn"), ("rwcccd",), ("pcccd", "rwcccd", "knn")])
+@pytest.mark.parametrize("kinds", [("pcccd", "knn"), ("rwcccd",), ("pcccd", "rwcccd", "knn"), ("pcccd", "rwcccd")])
 def test_a_replication_scores_as_the_library_does(monkeypatch, score_mode, kinds):
     params = {"pcccd": 0.5, "rwcccd": 0.5, "knn": 3}
     specs = [ClassifierSpec(kind, params[kind]) for kind in kinds]
