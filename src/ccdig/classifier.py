@@ -12,12 +12,12 @@ The query path (`predict_batch`, `discriminant_batch`) works on blocks
 of at most rows = core.block_rows(QUERY_BLOCK_BYTES, b) queries, b the
 largest ball count of a class. A batch of at most `rows` queries is one
 block, and each class's minimum is taken over the block's distances to
-all its balls (`_block_minima`); every one-row batch runs this way, and
-so does the `simulate` harness, on the columns of its own shared
-distance blocks. A larger batch is split into leaves: a segment of
-queries is cut at the median of its widest coordinate until it has at
-most `rows` queries (Bentley's k-d split), and each leaf's minima are
-scattered back through its query indices.
+all its balls (`_minima`); every one-row batch runs this way, and so
+does the `simulate` harness, on the columns of its own shared distance
+blocks. A larger batch is split into leaves: a segment of queries is
+cut at the median of its widest coordinate until it has at most `rows`
+queries (Bentley's k-d split), and each leaf's minima are scattered
+back through its query indices.
 
 A query's minimum comes from a ball near it, so a leaf needs only the
 balls that can reach the leaf's best upper bound. For each class, with
@@ -53,7 +53,8 @@ the leaf's bounding box [lo, hi]:
   bit-identical to the one-block ones. (numpy's power rounds an entry
   the same way in any matrix of two or more columns, but a one-column
   matrix goes to its scalar pow, which can differ in the last bit; so no
-  pruned matrix has one column.)
+  pruned matrix has one column: SEEDS is at least 2, and a lone kept
+  ball is computed beside a seed.)
 
 Classes of a few dozen balls gain nothing from leaves, because their
 leaves are few and large (rows grows as b shrinks).
@@ -105,8 +106,7 @@ QUERY_BLOCK_BYTES = 4 * 2**20
 
 # balls of least lower bound whose exact dissimilarities set a query
 # leaf's upper bound; a class with at most this many balls is not pruned.
-# At least 2, so that no pruned matrix has a single column (see
-# _leaf_minima)
+# At least 2 (see the module notes on one-column matrices)
 SEEDS = 16
 
 # relative slack of the pruning test; it covers pow's rounding, a few
@@ -183,13 +183,17 @@ def train(data: LabeledDataset, variant: str, *, tau: float | None = None, e: fl
     )
 
 
-def _class_minima(model: CccdModel, points: np.ndarray) -> np.ndarray:
-    """(n_points, n_classes) matrix of per-class minimum dissimilarities;
-    see the module notes on the query leaves, the bound and memory."""
+def _class_minima(model: CccdModel, points) -> np.ndarray:
+    """(n_points, n_classes) matrix of per-class minimum dissimilarities of
+    a batch of points of the model's dimension; see the module notes on the
+    query leaves, the bound and memory."""
+    points = as_points(points)
+    if points.shape[1] != model.dim:
+        raise ValueError(f"dimension mismatch: points have {points.shape[1]}, model expects {model.dim}")
     terms = _cover_terms(model)
     rows = block_rows(QUERY_BLOCK_BYTES, max(cover.n_balls for cover in model.covers))
     if len(points) <= rows:
-        return _block_minima(terms, (_distances(points, term[0]) for term in terms), len(points))
+        return np.column_stack([_minima(_distances(points, term[0]), term) for term in terms])
     out = np.empty((len(points), model.n_classes), dtype=np.float64)
     for leaf in _leaves(points, rows):
         block = points[leaf]
@@ -212,19 +216,10 @@ def _cover_terms(model: CccdModel) -> list[tuple]:
     return terms
 
 
-def _block_minima(terms, distances, rows: int) -> np.ndarray:
-    """(rows, n_classes) per-class minima of one query block. `distances`
-    yields, in class order, a fresh (rows, balls) matrix of the block's
-    distances to that class's centers, which is scaled in place."""
-    out = np.empty((rows, len(terms)), dtype=np.float64)
-    for c, (term, rho) in enumerate(zip(terms, distances)):
-        out[:, c] = _scale(rho, *term[1:]).min(axis=1)
-    return out
-
-
-def _dissimilarities(points, centers, safe, zero, exponent) -> np.ndarray:
-    """(len(points), len(centers)) matrix of scaled dissimilarities."""
-    return _scale(_distances(points, centers), safe, zero, exponent)
+def _minima(rho, term) -> np.ndarray:
+    """Per-row minimum dissimilarity of a fresh matrix of distances to the
+    balls of `term`, one column per ball; `rho` is scaled in place."""
+    return _scale(rho, *term[1:]).min(axis=1)
 
 
 def _scale(rho, safe, zero, exponent) -> np.ndarray:
@@ -264,22 +259,21 @@ def _leaf_minima(block, lo, hi, term) -> np.ndarray:
     [lo, hi], over the balls that can hold it."""
     centers, safe, zero, exponent = term
     if len(centers) <= SEEDS:
-        return _dissimilarities(block, *term).min(axis=1)
+        return _minima(_distances(block, centers), term)
     # the kernel's own distance from each center to its nearest box point;
     # a difference can reach twice as_points' bound, which the kernel holds
     gap = _distances(np.clip(centers, lo, hi) - centers, np.zeros((1, centers.shape[1])))
     bound = _scale(gap.T, safe, zero, exponent)[0]
     seeds = np.argpartition(bound, SEEDS - 1)[:SEEDS]
-    best = _dissimilarities(block, *_take(term, seeds)).min(axis=1)
+    sub = _take(term, seeds)
+    best = _minima(_distances(block, sub[0]), sub)
     rest = bound <= best.max() * (1 + SLACK) + np.finfo(np.float64).tiny
     rest[seeds] = False
-    if np.count_nonzero(rest) == 1:
-        # numpy powers a one-column matrix with its scalar pow, whose last
-        # bit can differ from the vector loop a wider matrix gets, so a lone
-        # ball is computed beside a seed (SEEDS >= 2 for the same reason)
+    if np.count_nonzero(rest) == 1:  # no one-column matrix (see the module notes)
         rest[seeds[0]] = True
     if rest.any():
-        np.minimum(best, _dissimilarities(block, *_take(term, rest)).min(axis=1), out=best)
+        sub = _take(term, rest)
+        np.minimum(best, _minima(_distances(block, sub[0]), sub), out=best)
     return best
 
 
@@ -294,17 +288,9 @@ def _labels(minima: np.ndarray, class_counts: tuple[int, ...]) -> np.ndarray:
     return order[np.argmin(minima[:, order], axis=1)]
 
 
-def _batch_minima(model: CccdModel, points) -> np.ndarray:
-    """Per-class minima of a batch of points of the model's dimension."""
-    pts = as_points(points)
-    if pts.shape[1] != model.dim:
-        raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, model expects {model.dim}")
-    return _class_minima(model, pts)
-
-
 def predict_batch(model: CccdModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Labels and the per-class dissimilarity matrix for many points."""
-    minima = _batch_minima(model, points)
+    minima = _class_minima(model, points)
     return _labels(minima, model.class_counts), minima
 
 
@@ -320,7 +306,7 @@ def discriminant_batch(model: CccdModel, points, positive_class: int) -> np.ndar
         raise ValueError("the discriminant is defined for two-class models only")
     if positive_class not in (0, 1):
         raise ValueError("positive_class must be one of the model's class ids")
-    return _gap(_batch_minima(model, points), positive_class)
+    return _gap(_class_minima(model, points), positive_class)
 
 
 def _gap(minima: np.ndarray, positive_class: int) -> np.ndarray:

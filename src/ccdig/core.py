@@ -30,6 +30,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -92,6 +93,13 @@ def check_hyper(key: str, value) -> float:
     if key == "k" and not (value >= 1 and value.is_integer()):  # inf and nan fail too
         raise ValueError("k must be a positive integer")
     return value
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a size, count or seed that is not an integer (numpy integers
+    pass), naming it, before it fails deep inside numpy or range."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def cross_distance_matrix(A, B) -> np.ndarray:
@@ -215,6 +223,8 @@ def sample_uniform_box(d: int, low, high, n: int, seed) -> np.ndarray:
     `seed` may be an integer or a numpy Generator; an integer always yields
     the same sample. `low`/`high` may be scalars or length-d vectors.
     """
+    check_integer("d", d)
+    check_integer("n", n)
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if n < 1:

@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import classifier
-from .classifier import VARIANT_PURE, VARIANT_RW, _block_minima, _cover_terms, _gap, _labels, train
-from .core import LabeledDataset, as_points, check_hyper, row_blocks, sample_uniform_box
+from .classifier import VARIANT_PURE, VARIANT_RW, _cover_terms, _gap, _labels, _minima, train
+from .core import LabeledDataset, as_points, check_hyper, check_integer, row_blocks, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
 # classifier kind -> the one hyperparameter it takes
@@ -194,6 +194,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ValueError(f"unknown setting {self.setting!r}")
+        for name in ("d", "n", "test_per_class", "max_test_reps", "base_seed"):
+            check_integer(name, getattr(self, name))
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be at least 1")
         if (self.m is None) == (self.q is None):
@@ -221,6 +223,8 @@ class SimulationConfig:
                 raise ValueError("delta must be in [0,1] for the shifted setting")
             if self.setting == "disjoint" and not 0.0 <= self.delta < math.inf:
                 raise ValueError("delta must be non-negative and finite for the disjoint setting")
+            if self.setting == "disjoint" and not 1.0 + self.delta < 2.0 + self.delta:
+                raise ValueError("delta is too large for the disjoint setting: 1 + delta rounds to 2 + delta")
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be at least 1")
         if self.max_test_reps < 2:
@@ -384,8 +388,8 @@ def _run_replication(config: SimulationConfig, classifiers, rep: int, score_mode
                 out = _labels(-votes, train_data.class_counts) if score_mode == "label" else votes[:, 1] / k
             else:
                 terms, columns = plan
-                # each class's columns are gathered into a copy, which _block_minima scales in place
-                minima = _block_minima(terms, (block[:, c] for c in columns), len(block))
+                # each class's columns are gathered into a copy, which _minima scales in place
+                minima = np.column_stack([_minima(block[:, c], term) for term, c in zip(terms, columns)])
                 out = _labels(minima, model.class_counts) if score_mode == "label" else _gap(minima, 1)
             scores[j, rows] = out
     aucs = [auc(s, test_labels) for s in scores]
@@ -437,6 +441,7 @@ def run_simulation(
     classifiers = tuple(classifiers)
     if not classifiers:
         raise ValueError("need at least one classifier")
+    check_integer("threads", threads)
     if threads < 1:
         raise ValueError("threads must be at least 1")
     score_mode = _check_score_mode(score_mode)
@@ -490,6 +495,7 @@ def pilot_study(
         raise ValueError("the parameter grid must be non-empty")
     if len(set(grid)) != len(grid):
         raise ValueError("grid values must be distinct")
+    check_integer("reps", reps)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     counts = np.zeros(len(grid), dtype=np.int64)

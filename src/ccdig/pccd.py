@@ -15,16 +15,14 @@ blocked pass on plain arrays:
    block's row minima go to c's `d_near` and its column minima to c''s;
 2. per class, in row blocks of its targets: the block's distances to
    all n targets, the block's radii from them and `d_near` (`_radii`,
-   the formula `pccd_radii` documents), and the block's rows of the
-   closed catch matrix, `dist < radii[:, None]`; then the diagonal is
-   set. A radius is one masked maximum with floor 0: every row holds its
-   own target at distance 0, so no zero case (d_near = 0) needs a mask;
+   the formula `pccd_radii` documents, as one masked maximum), and the
+   block's rows of the closed catch matrix, `dist < radii[:, None]`;
+   then the diagonal is set;
 3. the greedy dominating set on that matrix, which keeps each vertex's
    count of undominated closed neighbours current by subtracting the
    columns each pick dominates, so every column is summed once; a dead
-   vertex's count is zeroed and never exceeds 0 again; once the largest
-   count is 1, no undominated vertex catches another, and the rest are
-   appended in index order in one step (`greedy_dominating_set`);
+   vertex's count is zeroed and never exceeds 0 again; the count-1 tail
+   is appended in one step (`greedy_dominating_set`);
 4. the purity and properness flags, without distances: a ball holds a
    non-target iff its center's nearest one lies inside it,
    `d_near[sel] < radii[sel]`, and a target is covered iff a selected
@@ -144,7 +142,9 @@ def pccd_radii(dist_t, dist_n, tau: float) -> np.ndarray:
 def _radii(dist_t, d_near, tau: float) -> np.ndarray:
     """`pccd_radii` of target rows `dist_t` (rows, n), given their
     nearest non-target distances `d_near` (rows,), with tau already
-    checked; each row holds its own target at distance 0."""
+    checked. A radius is one masked maximum with floor 0: each row holds
+    its own target at distance 0, so no zero case (d_near = 0) needs a
+    mask."""
     d_far = dist_t.max(axis=1, where=dist_t < d_near[:, None], initial=0.0)
     return (1.0 - tau) * d_far + tau * d_near
 
@@ -219,10 +219,7 @@ def _pure_covers(parts, tau: float) -> list[ClassCover]:
 
 def _nearest_other(parts) -> list[np.ndarray]:
     """For each class, every point's distance to the nearest point of
-    another class. Each class pair (c, c') is visited once, in row blocks
-    of c against all of c': a block's row minima belong to c and its
-    column minima to c'. The (c', c) entries equal the (c, c') ones bit
-    for bit, and `min` does not depend on the order it reads them in."""
+    another class; see step 1 of the module notes."""
     d_near = [np.full(len(X), np.inf) for X in parts]
     for c, X in enumerate(parts):
         for later in range(c + 1, len(parts)):

@@ -119,20 +119,16 @@ def _first_max_walk(sums, shift: int, weight: float) -> tuple[np.ndarray, np.nda
 
 
 class _Candidates:
-    """The packed counts of one fit at its candidate columns, kept across
-    picks (see the module notes).
+    """The packed counts of one fit at its candidate columns (see
+    Candidates in the module notes), kept across picks.
 
     Row i of `counts` belongs to target `targets[i]`; `targets` holds the
-    alive targets in increasing order. Column j < m of a row stands for
-    the row's j-th nearest non-target: `counts[i, j]` is the packed count
-    of the alive points strictly nearer than it, and `before[x, j]`, by
-    original target x, the sorted position just before its run. Column m
-    holds the packed count of every alive point, and `before` the row's
-    last position. A non-target at distance 0 has no run before its own;
-    its column holds 2**shift - 1 non-targets and no target, a walk value
-    below column m's that no update reaches. `key[c, x]` is the number of
-    non-targets at or below the distance of column c in the row of target
-    x, `order[x]` that row's sort, and `code[c]` the code of column c.
+    alive targets in increasing order. `counts[i, c]` is the packed count
+    column c reads, and `before[x, c]`, by original target x, the sorted
+    position just before its run (for column m, the row's last position).
+    `key[c, x]` is the number of non-targets at or below the distance of
+    column c in the row of target x, `order[x]` that row's sort, and
+    `code[c]` the code of column c.
     """
 
     def __init__(self, order, end, n: int, shift: int):

@@ -573,7 +573,7 @@ def test_discriminant_gap_matches_the_case_by_case_oracle(monkeypatch):
     tiny = np.finfo(np.float64).smallest_subnormal
     values = [0.0, -0.0, tiny, 3 * tiny, 1e-300, 0.5, 1.0, 1e300, np.finfo(np.float64).max, np.inf]
     minima = np.array([[a, b] for a in values for b in values])
-    monkeypatch.setattr(classifier, "_batch_minima", lambda model, points: minima.copy())
+    monkeypatch.setattr(classifier, "_class_minima", lambda model, points: minima.copy())
     model = two_ball_model(r_a=1.0, r_b=1.0)
     for positive in (0, 1):
         got = discriminant_batch(model, [[0.0]], positive_class=positive)

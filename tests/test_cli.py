@@ -441,6 +441,17 @@ def test_bad_flag_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, com
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_simulate_names_delta_when_it_empties_the_disjoint_box(tmp_path, capsys):
+    args = [
+        "simulate", "--setting", "disjoint", "--d", "2", "--n", "20", "--q", "1", "--delta", "1e300",
+        "--classifiers", "pcccd", "--out", str(tmp_path / "report.csv"),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: delta")
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_simulate_zero_se_target_runs_to_the_cap(tmp_path):
     # under label scores the first two replication AUCs tie exactly
     # (SE 0), which must not end a run whose target is 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ccdig import classifier, evaluation
 from ccdig.classifier import VARIANT_PURE, VARIANT_RW, discriminant_batch, predict_batch, train
-from ccdig.core import LabeledDataset
+from ccdig.core import LabeledDataset, sample_uniform_box
 from ccdig.evaluation import (
     ClassifierSpec,
     SimulationConfig,
@@ -282,7 +282,8 @@ def test_config_validation():
             SimulationConfig(setting="embedded", d=2, n=10, q=q)
     with pytest.raises(ValueError, match="m must be an integer"):
         SimulationConfig(setting="embedded", d=2, n=10, m=2.5)
-    for delta in (math.inf, math.nan):
+    # 1 + delta and 2 + delta round to one double at 2**54 and 1e300: the second box is empty
+    for delta in (math.inf, math.nan, 2.0**54, 1e300):
         with pytest.raises(ValueError, match="delta"):
             SimulationConfig(setting="disjoint", d=2, n=10, m=5, delta=delta)
     with pytest.raises(ValueError, match="se_target"):
@@ -335,6 +336,42 @@ def small_config(**kw):
 
 
 SPECS = (ClassifierSpec("pcccd", 0.5), ClassifierSpec("rwcccd", 1.0), ClassifierSpec("knn", 3))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("d", lambda: small_config(d=2.5)),
+        ("n", lambda: small_config(n=10.5)),
+        ("test_per_class", lambda: small_config(test_per_class=15.0)),
+        ("max_test_reps", lambda: small_config(max_test_reps=2.5)),
+        ("base_seed", lambda: small_config(base_seed=1.5)),
+        ("threads", lambda: run_simulation(small_config(), SPECS, threads=1.5)),
+        ("reps", lambda: pilot_study(small_config(), "pcccd", [0.5], reps=2.5)),
+        ("d", lambda: sample_uniform_box(2.5, 0.0, 1.0, 4, seed=0)),
+        ("n", lambda: sample_uniform_box(2, 0.0, 1.0, 4.0, seed=0)),
+    ],
+    ids=[
+        "config-d", "config-n", "config-test-per-class", "config-max-test-reps", "config-base-seed",
+        "threads", "pilot-reps", "sampler-d", "sampler-n",
+    ],
+)
+def test_sizes_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_pass():
+    sizes = dict(d=2, n=12, test_per_class=15, max_test_reps=3, base_seed=5)
+    plain = run_simulation(small_config(**sizes), SPECS)
+    assert run_simulation(small_config(**{k: np.int64(v) for k, v in sizes.items()}), SPECS, threads=np.int64(2)) == plain
+    assert pilot_study(small_config(), "knn", [1, 3], reps=np.int32(2)).reps == 2
+    assert sample_uniform_box(np.int64(2), 0.0, 1.0, np.int32(4), seed=0).shape == (4, 2)
+
+
+def test_the_largest_disjoint_deltas_still_sample():
+    train_data, _, _ = sample_replication(small_config(setting="disjoint", d=2, delta=2.0**53), 0)
+    assert np.all(train_data.points[train_data.labels == 1, 0] >= 2.0**53)
 
 
 def test_run_simulation_deterministic():
