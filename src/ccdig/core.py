@@ -15,10 +15,13 @@ block loop runs with a 16-entry buffer once its contiguous axis has
 UNBUFFERED_MIN entries and neither set is one point (a one-row or
 one-column broadcast is one-dimensional: the buffer costs it nothing,
 and setting the size 2-3 us), and sums blocks against fewer columns
-transposed. It restores the caller's size in a `finally`: the size is
-per-thread state, `np.errstate` restores it only from numpy 2.0 on, and
-a process-wide 16-entry buffer makes casting reductions such as
-`np.count_nonzero(mask, axis=1)` about 5x slower.
+transposed. The one place that sets the size is `unbuffered`, which
+restores the caller's size in a `finally`: the size is per-thread state,
+`np.errstate` restores it only from numpy 2.0 on, and a process-wide
+16-entry buffer makes casting reductions such as
+`np.count_nonzero(mask, axis=1)` about 5x slower. The pure fit's radii
+and catch rows and the k-NN votes' broadcast comparisons run under it
+too; their reductions that cast stay outside.
 
 A point set is checked once, where it enters (`as_points`): library code
 calls `_distances` and `row_blocks`, not the checking `cross_distance_matrix`.
@@ -26,6 +29,7 @@ calls `_distances` and `row_blocks`, not the checking `cross_distance_matrix`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -143,8 +147,7 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shape = (m, min(rows, n)) if flip else (min(rows, n), m)
     work = np.empty((slots, *shape), dtype=np.float64)
     acc = np.empty(shape, dtype=np.float64) if flip else None
-    old = None if buffered else np.setbufsize(16)
-    try:
+    with unbuffered(not buffered):
         for i in range(0, n, rows):
             block = out[i : i + rows]
             r = len(block)
@@ -153,10 +156,22 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 np.sqrt(acc[:, :r], out=block.T)
             else:
                 _sum_squares(at[:, i : i + rows], bt, block, work[:, :r])
+    return out if flip else np.sqrt(out, out=out)
+
+
+@contextlib.contextmanager
+def unbuffered(on: bool = True):
+    """Run the body with numpy's ufunc buffer at 16 entries, its minimum,
+    and restore the caller's size after it, also when it raises; with
+    `on` false the body runs under the caller's size. For broadcasts
+    over rows of UNBUFFERED_MIN entries or more, not for reductions that
+    cast (see the module notes)."""
+    old = np.setbufsize(16) if on else None
+    try:
+        yield
     finally:
         if old is not None:
             np.setbufsize(old)
-    return out if flip else np.sqrt(out, out=out)
 
 
 def block_rows(budget: int, cols: int) -> int:

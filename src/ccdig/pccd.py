@@ -17,12 +17,19 @@ blocked pass on plain arrays:
    all n targets, the block's radii from them and `d_near` (`_radii`,
    the formula `pccd_radii` documents, as one masked maximum), and the
    block's rows of the closed catch matrix, `dist < radii[:, None]`;
-   then the diagonal is set;
-3. the greedy dominating set on that matrix, which keeps each vertex's
-   count of undominated closed neighbours current by subtracting the
-   columns each pick dominates, so every column is summed once; a dead
-   vertex's count is zeroed and never exceeds 0 again; the count-1 tail
-   is appended in one step (`greedy_dominating_set`);
+   then the diagonal is set. The mask and the catch rows are broadcasts
+   and run under `core.unbuffered` once a class has UNBUFFERED_MIN
+   points;
+3. the greedy dominating set on that matrix, searched lazily: each
+   vertex keeps an upper bound of its count of undominated closed
+   neighbours, its row sum at first; a count only falls, so only the
+   row at the first maximum bound is recounted, and it is the pick once
+   its count equals its bound (every vertex before it has a lower bound,
+   every one after a count no higher). A recount that misses lowers one
+   bound, so there are no more misses than True entries in the matrix,
+   and no pick reads a column. A dead vertex's bound is zeroed and never
+   exceeds 0 again; the count-1 tail is appended in one step
+   (`greedy_dominating_set`);
 4. the purity and properness flags, without distances: a ball holds a
    non-target iff its center's nearest one lies inside it,
    `d_near[sel] < radii[sel]`, and a target is covered iff a selected
@@ -53,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_points, block_rows, check_hyper, row_blocks
+from .core import UNBUFFERED_MIN, as_points, block_rows, check_hyper, row_blocks, unbuffered
 
 # float64 bytes in one block of fit distances, rows by all the columns;
 # two-class fits at n = 1600 and 4000 took the same time from 256 KiB to
@@ -171,7 +178,17 @@ def greedy_dominating_set(closed) -> list[int]:
     neighborhood, and marks that neighborhood dominated. Ties go to the
     lowest vertex index.
 
-    Once that largest count is 1, every undominated vertex's closed
+    The picks are found lazily (Minoux's accelerated greedy). `counts`
+    holds an upper bound of each vertex's count, its row sum at first
+    and 0 once it is dominated; a count only falls. Only the row at the
+    first maximum bound, v, is recounted. If the count is lower, it
+    becomes v's bound and the search repeats. If it equals the bound, v
+    is the pick: every vertex before v has a bound, and so a count,
+    below it, and every vertex after v a count at most equal to it. Each
+    recount that misses lowers a bound, so there are at most as many
+    misses as True entries in `closed`.
+
+    Once the largest bound is 1, every undominated vertex's closed
     neighborhood holds no undominated vertex but itself, so no pick can
     change another's count: the rest are picked one at a time in
     increasing index order, and they are appended in one step.
@@ -182,16 +199,19 @@ def greedy_dominating_set(closed) -> list[int]:
     counts = closed.sum(axis=1)
     alive = np.ones(len(closed), dtype=bool)
     selected: list[int] = []
-    while alive.any():
+    while counts.size:  # np.argmax of no vertices raises
         v = int(np.argmax(counts))
-        if counts[v] == 1:
-            selected.extend(np.flatnonzero(alive).tolist())
+        if counts[v] <= 1:
             break
-        selected.append(v)
         newly = closed[v] & alive
+        fresh = np.count_nonzero(newly)
+        if fresh < counts[v]:
+            counts[v] = fresh
+            continue
+        selected.append(v)
         alive &= ~newly
-        counts -= closed[:, newly].sum(axis=1)
         counts[newly] = 0  # a live vertex counts itself, so a dead one never wins
+    selected.extend(np.flatnonzero(alive).tolist())
     return selected
 
 
@@ -236,8 +256,9 @@ def _pure_cover(X: np.ndarray, d_near: np.ndarray, tau: float, class_id: int) ->
     radii = np.empty(n)
     closed = np.empty((n, n), dtype=bool)
     for rows, dist in row_blocks(X, X, FIT_BLOCK_BYTES):
-        radii[rows] = _radii(dist, d_near[rows], tau)
-        np.less(dist, radii[rows, None], out=closed[rows])
+        with unbuffered(n >= UNBUFFERED_MIN):  # the mask and the catch rows are broadcasts
+            radii[rows] = _radii(dist, d_near[rows], tau)
+            np.less(dist, radii[rows, None], out=closed[rows])
     np.fill_diagonal(closed, True)
     sel = np.array(greedy_dominating_set(closed), dtype=np.int64)
     r_sel = radii[sel]

@@ -253,6 +253,28 @@ def exact_min_dominating_size(closed) -> int:
     raise AssertionError("the full vertex set always dominates")
 
 
+def eager_greedy_dominating_set(closed) -> list[int]:
+    """The greedy dominating set as `greedy_dominating_set` computed it
+    before its lazy search: every vertex's count of undominated closed
+    neighbours is kept current by subtracting the columns each pick
+    dominates, and the count-1 tail is appended in one step."""
+    closed = np.asarray(closed, dtype=bool)
+    counts = closed.sum(axis=1)
+    alive = np.ones(len(closed), dtype=bool)
+    selected: list[int] = []
+    while alive.any():
+        v = int(np.argmax(counts))
+        if counts[v] == 1:
+            selected.extend(np.flatnonzero(alive).tolist())
+            break
+        selected.append(v)
+        newly = closed[v] & alive
+        alive &= ~newly
+        counts -= closed[:, newly].sum(axis=1)
+        counts[newly] = 0
+    return selected
+
+
 def naive_greedy_dominating_set(closed) -> list[int]:
     """Reference greedy dominating set: recounts every undominated
     vertex's undominated closed neighborhood before each pick and takes

@@ -17,6 +17,7 @@ from ccdig.pccd import (
 )
 from helpers import (
     distance_pair,
+    eager_greedy_dominating_set,
     exact_min_dominating_size,
     full_matrix_pure_cover,
     ln_bound,
@@ -173,6 +174,84 @@ def test_greedy_always_dominates(closed):
 @example(np.zeros((0, 0), dtype=bool))
 def test_greedy_matches_naive_recount(closed):
     assert greedy_dominating_set(closed) == naive_greedy_dominating_set(closed)
+
+
+def matrices_at_densities(max_n):
+    """Closed matrices whose other cells are caught with probability
+    0.05, 0.3 or 0.9, so that a pick often leaves other vertices' count
+    bounds stale and the lazy search recounts them."""
+    return st.tuples(st.sampled_from([0.05, 0.3, 0.9]), st.integers(0, max_n), st.integers(0, 2**32 - 1)).map(
+        lambda drawn: (np.random.default_rng(drawn[2]).random((drawn[1], drawn[1])) < drawn[0])
+        | np.eye(drawn[1], dtype=bool)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_at_densities(40))
+def test_lazy_greedy_matches_naive_recount_at_each_density(closed):
+    assert greedy_dominating_set(closed) == naive_greedy_dominating_set(closed)
+
+
+def test_greedy_recount_that_ties_a_lower_vertex_yields_to_it():
+    # 0 and 2 both catch five; 0 wins the tie and dominates 3 and 4, so
+    # 2's bound of 5 is stale: its recount is 3, which ties vertex 1's
+    # exact count of 3, and the lower index, 1, is picked before 2
+    closed = np.eye(11, dtype=bool)
+    closed[0, [3, 4, 5, 6]] = True
+    closed[1, [7, 8]] = True
+    closed[2, [3, 4, 9, 10]] = True
+    assert greedy_dominating_set(closed) == [0, 1, 2]
+    assert naive_greedy_dominating_set(closed) == [0, 1, 2]
+    assert eager_greedy_dominating_set(closed) == [0, 1, 2]
+
+
+# (n, m, d, delta, tau): every d and tau at 300/300, an imbalanced pair
+# of well-separated classes, the benchmark's size and a large one
+CATCH_SHAPES = [(300, 300, d, 0.1, tau) for d in (2, 3, 5, 20) for tau in (0.1, 1.0)] + [
+    (200, 40, 3, 0.5, 0.5),
+    (1600, 1600, 3, 0.1, 0.1),
+    (4000, 4000, 3, 0.1, 0.5),
+]
+
+
+@pytest.mark.parametrize("n, m, d, delta, tau", CATCH_SHAPES)
+def test_lazy_greedy_equals_the_eager_one_on_catch_matrices(monkeypatch, n, m, d, delta, tau):
+    rng = np.random.default_rng(n + m + d)
+    points = np.vstack([rng.random((n, d)), delta + rng.random((m, d))])
+    labels = np.repeat([0, 1], [n, m])
+    picked = []
+
+    def both(closed):
+        sel = greedy_dominating_set(closed)
+        assert sel == eager_greedy_dominating_set(closed)
+        picked.append(len(sel))
+        return sel
+
+    monkeypatch.setattr(pccd, "greedy_dominating_set", both)
+    model = train(LabeledDataset(points=points, labels=labels), "pure", tau=tau)
+    assert picked == [cover.n_balls for cover in model.covers]
+
+
+@pytest.mark.parametrize("n", [70, 20])
+def test_pure_cover_restores_the_buffer_size_when_its_body_raises(monkeypatch, n):
+    # the radii and catch rows of a class of 64 or more points run under
+    # the 16-entry buffer; of fewer, under the caller's
+    seen = []
+
+    def fail(dist_t, d_near, tau):
+        seen.append(np.getbufsize())
+        raise RuntimeError("inside the block loop")
+
+    monkeypatch.setattr(pccd, "_radii", fail)
+    rng = np.random.default_rng(n)
+    old = np.setbufsize(4096)
+    try:
+        with pytest.raises(RuntimeError, match="inside the block loop"):
+            pccd_cover(rng.random((n, 2)), 1.0 + rng.random((5, 2)), 0.5)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+    assert seen == [16 if n >= 64 else 4096]
 
 
 def test_greedy_within_ln_bound_on_random_instances():
