@@ -22,14 +22,11 @@ blocked pass on plain arrays:
    points;
 3. the greedy dominating set on that matrix, searched lazily: each
    vertex keeps an upper bound of its count of undominated closed
-   neighbours, its row sum at first; a count only falls, so only the
-   row at the first maximum bound is recounted, and it is the pick once
-   its count equals its bound (every vertex before it has a lower bound,
-   every one after a count no higher). A recount that misses lowers one
-   bound, so there are no more misses than True entries in the matrix,
-   and no pick reads a column. A dead vertex's bound is zeroed and never
-   exceeds 0 again; the count-1 tail is appended in one step
-   (`greedy_dominating_set`);
+   neighbours, which only falls, and only the row at the first maximum
+   bound is recounted; it is the pick once its count equals its bound.
+   Each miss lowers one bound, so there are no more misses than True
+   entries in the matrix, and no pick reads a column. The count-1 tail
+   is appended in one step (`greedy_dominating_set` gives the argument);
 4. the purity and properness flags, without distances: a ball holds a
    non-target iff its center's nearest one lies inside it,
    `d_near[sel] < radii[sel]`, and a target is covered iff a selected
