@@ -20,8 +20,7 @@ restores the caller's size in a `finally`: the size is per-thread state,
 `np.errstate` restores it only from numpy 2.0 on, and a process-wide
 16-entry buffer makes casting reductions such as
 `np.count_nonzero(mask, axis=1)` about 5x slower. The pure fit's radii
-and catch rows and the k-NN votes' broadcast comparisons run under it
-too; their reductions that cast stay outside.
+and catch rows run under it too; reductions that cast stay outside.
 
 A point set is checked once, where it enters (`as_points`): library code
 calls `_distances` and `row_blocks`, not the checking `cross_distance_matrix`.
@@ -160,7 +159,7 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def unbuffered(on: bool = True):
+def unbuffered(on: bool):
     """Run the body with numpy's ufunc buffer at 16 entries, its minimum,
     and restore the caller's size after it, also when it raises; with
     `on` false the body runs under the caller's size. For broadcasts

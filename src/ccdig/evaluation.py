@@ -40,16 +40,7 @@ import numpy as np
 
 from . import classifier
 from .classifier import VARIANT_PURE, VARIANT_RW, _cover_terms, _gap, _labels, _minima, train
-from .core import (
-    UNBUFFERED_MIN,
-    LabeledDataset,
-    as_points,
-    check_hyper,
-    check_integer,
-    row_blocks,
-    sample_uniform_box,
-    unbuffered,
-)
+from .core import LabeledDataset, as_points, check_hyper, check_integer, row_blocks, sample_uniform_box
 
 SETTINGS = ("embedded", "shifted", "disjoint", "balanced_overlap")
 # classifier kind -> the one hyperparameter it takes
@@ -98,9 +89,7 @@ def _knn_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int) -> 
     if not 1 <= k <= dist.shape[1]:
         raise ValueError(f"k must be in [1, {dist.shape[1]}]")
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    wide = dist.shape[1] >= UNBUFFERED_MIN  # the broadcasts run unbuffered, the counts (which cast) do not
-    with unbuffered(wide):
-        chosen = dist <= kth
+    chosen = dist <= kth
     tied = np.count_nonzero(chosen, axis=1) > k
     if tied.any():
         at_kth = dist[tied] == kth[tied]
@@ -109,9 +98,7 @@ def _knn_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int) -> 
         chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room[:, None])
     votes = np.empty((len(dist), n_classes), dtype=np.int64)
     for c in range(n_classes - 1):
-        with unbuffered(wide):
-            of_c = chosen & (labels == c)
-        votes[:, c] = np.count_nonzero(of_c, axis=1)
+        votes[:, c] = np.count_nonzero(chosen & (labels == c), axis=1)
     votes[:, -1] = k - votes[:, :-1].sum(axis=1)
     return votes
 

@@ -706,9 +706,9 @@ def test_library_simulation_leaves_the_allocator_alone(mallopt_calls):
 
 
 def test_commands_leave_the_numpy_buffer_size_alone(tmp_path):
-    # the distance kernel, the pure fit's comparisons and the k-NN votes'
-    # run unbuffered only inside their own blocks: classes of 70 points
-    # reach the kernel's two unbuffered paths and the others' one
+    # the distance kernel and the pure fit's comparisons run unbuffered
+    # only inside their own blocks: classes of 70 points reach the
+    # kernel's two unbuffered paths and the fit's one
     rng = np.random.default_rng(6)
     points = np.vstack([rng.random((70, 2)), 0.3 + rng.random((70, 2))])
     data = tmp_path / "data.csv"

@@ -209,51 +209,6 @@ def test_knn_matches_a_stable_sort_under_many_distance_ties(monkeypatch):
         monkeypatch.undo()
 
 
-def test_knn_matches_a_stable_sort_on_unbuffered_blocks():
-    # 100 lattice points: blocks of 64 columns or more take the votes'
-    # broadcasts under the 16-entry buffer, and the lattice ties the k-th
-    # distance in most rows
-    rng = np.random.default_rng(9)
-    points = rng.integers(0, 6, (100, 2)).astype(np.float64)
-    labels = np.arange(100) % 2
-    ds = LabeledDataset(points=points, labels=labels)
-    queries = np.vstack([rng.integers(-1, 7, (40, 2)).astype(np.float64), rng.uniform(-1.0, 7.0, (20, 2))])
-    for k in (1, 5, 12, 100):
-        expected_labels, neighbors = stable_sort_knn(points, labels, queries, k)
-        np.testing.assert_array_equal(knn_predict_batch(ds, queries, k), expected_labels)
-        np.testing.assert_array_equal(knn_scores(ds, queries, k), (neighbors == 1).mean(axis=1))
-
-
-@pytest.mark.parametrize("n", [70, 20])
-def test_knn_votes_restore_the_buffer_size_when_their_body_raises(n):
-    # the comparisons of a block of 64 or more columns run under the
-    # 16-entry buffer, of fewer under the caller's; the labels' comparison
-    # records the size it ran under and raises
-    seen = []
-
-    class Recorded(np.ndarray):
-        def __le__(self, other):
-            seen.append(np.getbufsize())
-            return np.asarray(self) <= other
-
-    class Raising(np.ndarray):
-        def __eq__(self, other):
-            seen.append(np.getbufsize())
-            raise RuntimeError("inside the vote count")
-
-    rng = np.random.default_rng(n)
-    dist = rng.random((30, n)).view(Recorded)
-    labels = (np.arange(n) % 2).view(Raising)
-    old = np.setbufsize(4096)
-    try:
-        with pytest.raises(RuntimeError, match="inside the vote count"):
-            evaluation._knn_votes(dist, labels, 3, 2)
-        assert np.getbufsize() == 4096
-    finally:
-        np.setbufsize(old)
-    assert seen == [16 if n >= 64 else 4096] * 2
-
-
 def test_overlap_alpha_examples():
     assert overlap_alpha(0.0, 3) == 1.0
     assert overlap_alpha(1.0, 3) == 0.0
